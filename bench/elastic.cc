@@ -110,7 +110,8 @@ struct Harness {
   }
 
   // Measures node i's TRUE per-row rate (including amortized per-chunk
-  // launch overhead) with one forced chunk-sized launch on scratch data.
+  // launch overhead) with one user-directed chunk-sized launch on scratch
+  // data, then restores the elastic runs' hetero_split policy.
   double SecondsPerRow(std::size_t node) {
     auto scratch = cluster->runtime().CreateBuffer(kChunkRows * 4);
     if (!scratch.ok()) std::exit(1);
@@ -124,8 +125,10 @@ struct Harness {
                  KernelArgValue::Scalar<std::int32_t>(
                      static_cast<std::int32_t>(kChunkRows))};
     spec.global[0] = kChunkRows;
-    spec.force_node = static_cast<int>(node);
+    spec.preferred_node = static_cast<int>(node);
+    if (!cluster->runtime().SetScheduler("user").ok()) std::exit(1);
     auto result = cluster->runtime().LaunchKernel(spec);
+    if (!cluster->runtime().SetScheduler("hetero_split").ok()) std::exit(1);
     if (!result.ok()) {
       std::fprintf(stderr, "calibrate node %zu: %s\n", node,
                    result.status().ToString().c_str());

@@ -1148,19 +1148,10 @@ struct ClusterRuntime::LaunchPlan {
 struct ClusterRuntime::LaunchWork {
   LaunchSpec spec;  // Shard geometry: global[0] = shard count and
                     // global_offset[0] includes the shard offset.
-  ProgramId program_id = 0;
   ProgramPtr program;
-  const oclc::CompiledFunction* kernel = nullptr;
-  struct BufferArg {
-    std::size_t arg_index = 0;
-    BufferId id = 0;
-    BufferPtr buffer;
-    bool written = false;  // Bound to a non-const pointer parameter.
-    bool partitioned = false;  // kPartitionedDim0 annotation.
-    std::uint64_t stride = 0;  // Bytes per dim-0 index (partitioned).
-  };
-  std::vector<BufferArg> buffers;
+  std::vector<LaunchBufferArg> buffers;
   std::size_t node = 0;  // Placement decided at submit.
+  ChunkTag chunk;        // Elastic chunk identity (zero otherwise).
   std::shared_ptr<LaunchPlan> plan;
   // Staged out-of-core execution: non-null when this command is one stage
   // of an oversubscribed shard. The prefetch command reserved and pinned
@@ -1254,14 +1245,24 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   if (disconnected_) {
     return Status(ErrorCode::kInvalidOperation, "runtime disconnected");
   }
+  auto launch = PrepareLaunchLocked(spec);
+  if (!launch.ok()) return launch.status();
+  return CommitLaunchLocked(*launch, launch->plan, std::move(deps),
+                            std::move(order_after), ChunkTag{});
+}
+
+Expected<ClusterRuntime::PreparedLaunch> ClusterRuntime::PrepareLaunchLocked(
+    const LaunchSpec& spec) {
   auto program_it = programs_.find(spec.program);
   if (program_it == programs_.end() ||
       program_it->second->module == nullptr) {
     return Status(ErrorCode::kInvalidProgram, "no such program");
   }
-  const ProgramPtr program = program_it->second;
-  const oclc::CompiledFunction* kernel =
-      program->module->FindKernel(spec.kernel_name);
+  PreparedLaunch launch;
+  launch.spec = spec;
+  launch.program = program_it->second;
+  const oclc::Module& module = *launch.program->module;
+  const oclc::CompiledFunction* kernel = module.FindKernel(spec.kernel_name);
   if (kernel == nullptr) {
     return Status(ErrorCode::kInvalidKernelName,
                   "no kernel '" + spec.kernel_name + "' in program");
@@ -1274,9 +1275,8 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   }
 
   // Resolve buffer args once; every shard shares the pins and metadata.
-  std::vector<LaunchWork::BufferArg> buffer_args;
   std::vector<oclc::ArgBinding> fake_bindings;
-  sched::TaskInfo task;
+  sched::TaskInfo& task = launch.task;
   task.kernel_name = spec.kernel_name;
   task.user_id = options_.session_id;
   task.preferred_node = spec.preferred_node;
@@ -1291,8 +1291,7 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   // nominal slice (grid-stride loops), so partitioned annotations are not
   // trustworthy for region-granular coherence either — degrade every
   // buffer arg to whole-buffer treatment below.
-  const bool range_free =
-      !KernelMayQueryLaunchRange(*program->module, *kernel);
+  const bool range_free = !KernelMayQueryLaunchRange(module, *kernel);
   task.splittable = spec.work_dim >= 1 && spec.global[0] > 0 && range_free;
   for (std::size_t i = 0; i < spec.args.size(); ++i) {
     const KernelArgValue& arg = spec.args[i];
@@ -1305,8 +1304,7 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
       return Status(ErrorCode::kInvalidMemObject,
                     "arg " + std::to_string(i) + ": no such buffer");
     }
-    LaunchWork::BufferArg buffer_arg;
-    buffer_arg.arg_index = i;
+    LaunchBufferArg buffer_arg;
     buffer_arg.id = arg.buffer;
     buffer_arg.buffer = it->second;
     buffer_arg.written = !kernel->params[i].pointee_const;
@@ -1342,9 +1340,9 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
     // Partitioned args ship only the launch's partition window — count
     // that, not the whole buffer, so the cost model's transfer term and
     // the residency discount below measure the same bytes.
-    task.input_bytes += buffer_arg.partitioned
-                            ? spec.global[0] * buffer_arg.stride
-                            : it->second->size;
+    const auto [begin, end] =
+        buffer_arg.Window(spec.global_offset[0], spec.global[0]);
+    task.input_bytes += end - begin;
     // Memory-footprint decomposition for the capacity checks: replicated
     // args cost every shard their full size; partitioned args cost their
     // stride per dim-0 index.
@@ -1353,7 +1351,7 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
     } else {
       task.replicated_bytes += it->second->size;
     }
-    buffer_args.push_back(std::move(buffer_arg));
+    launch.buffers.push_back(std::move(buffer_arg));
     oclc::ArgBinding binding;
     binding.kind = oclc::ArgBinding::Kind::kBuffer;
     binding.size = it->second->size;
@@ -1370,8 +1368,8 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
       range.offset[d] = spec.global_offset[d];
     }
     range.local_specified = spec.local_specified;
-    task.cost = driver::EstimateKernelCost(*program->module, *kernel,
-                                           fake_bindings, range);
+    task.cost =
+        driver::EstimateKernelCost(module, *kernel, fake_bindings, range);
   }
 
   // Locality hints from the region directories: how many of this launch's
@@ -1382,13 +1380,9 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   std::vector<std::uint64_t> resident_bytes(nodes_.size(), 0);
   std::vector<std::uint64_t> resident_begin(
       nodes_.size(), std::numeric_limits<std::uint64_t>::max());
-  for (const auto& buffer_arg : buffer_args) {
-    std::uint64_t begin = 0;
-    std::uint64_t end = buffer_arg.buffer->size;
-    if (buffer_arg.partitioned) {
-      begin = spec.global_offset[0] * buffer_arg.stride;
-      end = begin + spec.global[0] * buffer_arg.stride;
-    }
+  for (const LaunchBufferArg& buffer_arg : launch.buffers) {
+    const auto [begin, end] =
+        buffer_arg.Window(spec.global_offset[0], spec.global[0]);
     // try_lock, never block: this runs under state_mutex_, and a buffer
     // amid a slice transfer holds its mutex across node RPCs — waiting
     // here would stall every other submit in the runtime. A missed hint
@@ -1411,79 +1405,61 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
 
   // Ask the policy for the placement plan (live in-flight depth feeds the
   // view, so the decision sees the cluster as of this submit).
-  sched::PlacementPlan placement;
+  std::lock_guard<std::mutex> sched_lock(sched_mutex_);
+  launch.view = HostClusterViewLocked(spec.kernel_name);
+  for (std::size_t i = 0; i < launch.view.nodes.size(); ++i) {
+    launch.view.nodes[i].resident_input_bytes = resident_bytes[i];
+    launch.view.nodes[i].resident_dim0_begin = resident_begin[i];
+  }
+  auto planned = policy_->PlanLaunch(task, launch.view);
+  if (!planned.ok()) return planned.status();
+  HAOCL_RETURN_IF_ERROR(sched::ValidatePlan(*planned, task, launch.view));
+  launch.plan = *std::move(planned);
+  return launch;
+}
+
+Expected<CommandHandle> ClusterRuntime::CommitLaunchLocked(
+    const PreparedLaunch& launch, const sched::PlacementPlan& plan,
+    std::vector<CommandHandle> deps, std::vector<CommandHandle> order_after,
+    const ChunkTag& chunk) {
+  const LaunchSpec& spec = launch.spec;
+  const sched::TaskInfo& task = launch.task;
+  const std::size_t shard_total = plan.shards.size();
+  // The dim-0 indices this commit covers: the whole launch for a policy
+  // plan, one chunk's rows for an elastic chunk.
+  const std::uint64_t first =
+      spec.global_offset[0] + plan.shards.front().global_offset;
+  const std::uint64_t count = plan.shards.back().global_offset +
+                              plan.shards.back().global_count -
+                              plan.shards.front().global_offset;
+
+  // Charge each shard's predicted compute seconds against its node's
+  // backlog estimate NOW, so load-aware policies see work that is
+  // submitted but not yet complete; the shard refunds the same amount
+  // when it retires.
   std::vector<double> shard_charges;
+  shard_charges.reserve(shard_total);
   {
     std::lock_guard<std::mutex> sched_lock(sched_mutex_);
-    sched::ClusterView view;
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-      sched::NodeView node;
-      node.name = devices_[i].name;
-      node.type = devices_[i].type;
-      node.spec = sim::SpecForType(devices_[i].type);
-      node.link = options_.link;
-      node.queue_depth = in_flight_[i];
-      node.busy_seconds_ahead = node_busy_ahead_[i];
-      node.observed_seconds_per_flop = rate_table_->NodeAverage(i);
-      const sched::KernelRateTable::Rate rate =
-          rate_table_->Lookup(i, spec.kernel_name);
-      node.kernel_seconds_per_flop = rate.seconds_per_flop;
-      node.kernel_rate_samples = rate.samples;
-      node.resident_input_bytes = resident_bytes[i];
-      node.resident_dim0_begin = resident_begin[i];
-      node.mem_capacity_bytes = node_pools_[i]->capacity();
-      node.mem_free_bytes = node_pools_[i]->free_bytes();
-      node.node_backlog_seconds = node_broker_backlog_[i];
-      node.tenant_weight = options_.tenant_weight;
-      node.active_weight = node_active_weight_[i];
-      node.alive = !node_dead_[i];
-      view.nodes.push_back(std::move(node));
-    }
-    if (spec.force_node >= 0) {
-      // Elastic chunk sub-launch: placement was decided chunk-by-chunk by
-      // the coordinator, so bypass the policy — one shard, that node.
-      const auto forced = static_cast<std::size_t>(spec.force_node);
-      if (forced >= devices_.size()) {
-        return Status(ErrorCode::kInvalidValue,
-                      "force_node " + std::to_string(spec.force_node) +
-                          " out of range");
-      }
-      if (node_dead_[forced]) {
+    for (const sched::PlacementShard& shard : plan.shards) {
+      if (node_dead_[shard.node]) {
         return Status(ErrorCode::kNodeLost,
-                      "node " + std::to_string(forced) +
-                          " is marked dead; chunk must be re-queued");
+                      "node " + std::to_string(shard.node) +
+                          " is marked dead; the work must be re-queued");
       }
-      sched::PlacementShard shard;
-      shard.node = forced;
-      shard.global_offset = 0;
-      shard.global_count = task.dim0_extent;
-      placement.shards.push_back(shard);
-      HAOCL_RETURN_IF_ERROR(sched::ValidatePlan(placement, task, view));
-    } else {
-      auto planned = policy_->PlanLaunch(task, view);
-      if (!planned.ok()) return planned.status();
-      HAOCL_RETURN_IF_ERROR(sched::ValidatePlan(*planned, task, view));
-      placement = *std::move(planned);
     }
-    // Charge each shard's predicted compute seconds against its node's
-    // backlog estimate NOW, so load-aware policies see work that is
-    // submitted but not yet complete; the shard refunds the same amount
-    // when it retires. (The old code instead accumulated completed
-    // seconds forever, starving the historically-fast node.)
     const double extent_units = static_cast<double>(
         std::max<std::uint64_t>(1, task.dim0_extent));
-    shard_charges.reserve(placement.shards.size());
-    for (const sched::PlacementShard& shard : placement.shards) {
-      sched::TaskInfo shard_task = task;
+    sched::TaskInfo shard_task = task;  // Cost rescaled per shard.
+    for (const sched::PlacementShard& shard : plan.shards) {
       shard_task.cost = task.cost.Scaled(
           static_cast<double>(shard.global_count) / extent_units);
-      const double charge =
-          sched::PredictComputeSeconds(shard_task, view.nodes[shard.node]);
+      const double charge = sched::PredictComputeSeconds(
+          shard_task, launch.view.nodes[shard.node]);
       shard_charges.push_back(charge);
       node_busy_ahead_[shard.node] += charge;
     }
   }
-  const std::size_t shard_total = placement.shards.size();
 
   // Decompose oversubscribed shards into out-of-core stages: a shard
   // whose working set exceeds its node's device capacity runs as a
@@ -1492,7 +1468,7 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   // overlap stage k's compute (libhclooc's staging pattern, expressed as
   // command-graph edges below).
   struct SubLaunch {
-    std::size_t shard = 0;     // Index into placement.shards.
+    std::size_t shard = 0;     // Index into plan.shards.
     std::uint64_t offset = 0;  // Plan-relative dim-0 offset.
     std::uint64_t count = 0;
     std::uint32_t stage = 0;         // Stage index within the shard.
@@ -1502,7 +1478,7 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   const std::uint64_t stage_align =
       std::max<std::uint64_t>(1, task.dim0_align);
   for (std::size_t s = 0; s < shard_total; ++s) {
-    const sched::PlacementShard& shard = placement.shards[s];
+    const sched::PlacementShard& shard = plan.shards[s];
     const std::uint64_t capacity = node_pools_[shard.node]->capacity();
     std::uint64_t stage_rows = shard.global_count;
     if (capacity != 0 && task.splittable && task.bytes_per_index > 0) {
@@ -1547,38 +1523,15 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   CollectDepIds(deps, &dep_ids);
   CollectDepIds(order_after, &hazards);
   // Hazard ranges are region-granular: a partitioned arg conflicts only on
-  // the launch's partition window, so launches over disjoint windows of
+  // the committed partition window, so launches over disjoint windows of
   // one buffer pipeline freely.
-  struct HazardTarget {
-    BufferPtr buffer;
-    bool written;
-    bool partitioned;
-    std::uint64_t stride;
-    std::uint64_t begin;
-    std::uint64_t end;
-  };
-  std::vector<HazardTarget> targets;
-  targets.reserve(buffer_args.size());
-  for (const auto& buffer_arg : buffer_args) {
-    HazardTarget target;
-    target.buffer = buffer_arg.buffer;
-    target.written = buffer_arg.written;
-    target.partitioned = buffer_arg.partitioned;
-    target.stride = buffer_arg.stride;
-    target.begin = 0;
-    target.end = buffer_arg.buffer->size;
-    if (buffer_arg.partitioned) {
-      target.begin = spec.global_offset[0] * buffer_arg.stride;
-      target.end = target.begin + spec.global[0] * buffer_arg.stride;
-    }
+  for (const LaunchBufferArg& buffer_arg : launch.buffers) {
+    const auto [begin, end] = buffer_arg.Window(first, count);
     if (buffer_arg.written) {
-      AddWriteHazardLocked(*buffer_arg.buffer, target.begin, target.end,
-                           &hazards);
+      AddWriteHazardLocked(*buffer_arg.buffer, begin, end, &hazards);
     } else {
-      AddReadHazardLocked(*buffer_arg.buffer, target.begin, target.end,
-                          &hazards);
+      AddReadHazardLocked(*buffer_arg.buffer, begin, end, &hazards);
     }
-    targets.push_back(std::move(target));
   }
 
   // Fan out the sub-launch commands. Shards are mutually independent (the
@@ -1602,7 +1555,7 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
     if (sub.stage == 0) {
       prev_launch = prev_prev_launch = prev_prefetch = kNullCommand;
     }
-    const sched::PlacementShard& shard = placement.shards[sub.shard];
+    const sched::PlacementShard& shard = plan.shards[sub.shard];
     auto work = std::make_shared<LaunchWork>();
     work->spec = spec;
     work->spec.global[0] = sub.count;
@@ -1612,11 +1565,10 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
       work->spec.cost_hint = spec.cost_hint->Scaled(
           static_cast<double>(sub.count) / extent);
     }
-    work->program_id = spec.program;
-    work->program = program;
-    work->kernel = kernel;
-    work->buffers = buffer_args;
+    work->program = launch.program;
+    work->buffers = launch.buffers;
     work->node = shard.node;
+    work->chunk = chunk;
     work->owner = this;
     work->backlog_charge =
         shard_charges[sub.shard] *
@@ -1646,17 +1598,11 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
       prefetch->node = shard.node;
       prefetch->pipelined = options_.stage_pipeline;
       prefetch->link = link;
-      for (const auto& buffer_arg : buffer_args) {
-        StagePrefetchWork::Range range;
-        range.id = buffer_arg.id;
-        range.buffer = buffer_arg.buffer;
-        range.begin = 0;
-        range.end = buffer_arg.buffer->size;
-        if (buffer_arg.partitioned) {
-          range.begin = work->spec.global_offset[0] * buffer_arg.stride;
-          range.end = range.begin + sub.count * buffer_arg.stride;
-        }
-        prefetch->ranges.push_back(std::move(range));
+      for (const LaunchBufferArg& buffer_arg : launch.buffers) {
+        const auto [begin, end] =
+            buffer_arg.Window(work->spec.global_offset[0], sub.count);
+        prefetch->ranges.push_back(
+            {buffer_arg.id, buffer_arg.buffer, begin, end});
       }
       std::vector<CommandId> prefetch_deps;
       if (sub.stage == 0) {
@@ -1718,9 +1664,9 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
     const auto shard_count = static_cast<std::uint32_t>(shard_total);
     const auto stage_count = static_cast<std::uint32_t>(launch_total);
     // The aggregate reports the node that ran the largest plan shard.
-    std::size_t agg_node = placement.shards[0].node;
+    std::size_t agg_node = plan.shards[0].node;
     std::uint64_t largest = 0;
-    for (const auto& shard : placement.shards) {
+    for (const auto& shard : plan.shards) {
       if (shard.global_count > largest) {
         largest = shard.global_count;
         agg_node = shard.node;
@@ -1797,12 +1743,17 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
   // shards also register individually — a failed sibling makes the join
   // terminal while other shards still run, and teardown/write hazards
   // must not overtake them.
-  for (const auto& target : targets) {
-    if (target.written) {
-      RecordWriteLocked(*target.buffer, target.begin, target.end, cmd);
+  auto record = [this](const LaunchBufferArg& buffer_arg,
+                       std::pair<std::uint64_t, std::uint64_t> window,
+                       CommandId id) {
+    if (buffer_arg.written) {
+      RecordWriteLocked(*buffer_arg.buffer, window.first, window.second, id);
     } else {
-      RecordReadLocked(*target.buffer, target.begin, target.end, cmd);
+      RecordReadLocked(*buffer_arg.buffer, window.first, window.second, id);
     }
+  };
+  for (const LaunchBufferArg& buffer_arg : launch.buffers) {
+    record(buffer_arg, buffer_arg.Window(first, count), cmd);
     if (region_mode) {
       // Each sub-launch registers over its own slice of partitioned args
       // (its full range for replicated ones) — as a WRITER where it
@@ -1811,24 +1762,17 @@ Expected<CommandHandle> ClusterRuntime::SubmitLaunch(
       // join terminal early (reads collect only writers, and terminal
       // commands impose no order).
       for (std::size_t s = 0; s < shard_ids.size(); ++s) {
-        std::uint64_t begin = target.begin;
-        std::uint64_t end = target.end;
-        if (target.partitioned) {
-          begin = (spec.global_offset[0] + subs[s].offset) * target.stride;
-          end = begin + subs[s].count * target.stride;
-        }
-        if (target.written) {
-          RecordWriteLocked(*target.buffer, begin, end, shard_ids[s]);
-        } else {
-          RecordReadLocked(*target.buffer, begin, end, shard_ids[s]);
-        }
+        record(buffer_arg,
+               buffer_arg.Window(spec.global_offset[0] + subs[s].offset,
+                                 subs[s].count),
+               shard_ids[s]);
       }
     }
   }
   // Prune retired launches so long-lived programs do not accumulate one
   // id per launch forever (mirrors PruneRetiredReadersLocked). Reclaimed
   // records (!ok) retired by definition.
-  auto& uses = program->uses;
+  auto& uses = launch.program->uses;
   uses.erase(std::remove_if(uses.begin(), uses.end(),
                             [this](CommandId id) {
                               auto state = graph_->QueryState(id);
@@ -1850,10 +1794,11 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
                                   CommandGraph::Execution& e) {
   const LaunchSpec& spec = work->spec;
   const std::size_t node = work->node;  // Placement decided at submit.
-  // Byte range of this shard's slice in partitioned buffers: dim-0
-  // indices [global_offset[0], global_offset[0] + global[0]).
-  const std::uint64_t slice_first = spec.global_offset[0];
-  const std::uint64_t slice_count = spec.global[0];
+  // Byte range of this shard's slice of a buffer arg: its window over
+  // dim-0 indices [global_offset[0], global_offset[0] + global[0]).
+  auto slice = [&spec](const LaunchBufferArg& buffer_arg) {
+    return buffer_arg.Window(spec.global_offset[0], spec.global[0]);
+  };
 
   // ---- Working-set reservation (tiered memory) ---------------------------
   // Pin + LRU-stamp the working set so the eviction policy cannot reclaim
@@ -1867,12 +1812,7 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
   std::vector<runtime::MemoryPool::BufferRange> working_set;
   working_set.reserve(work->buffers.size());
   for (const auto& buffer_arg : work->buffers) {
-    std::uint64_t begin = 0;
-    std::uint64_t end = buffer_arg.buffer->size;
-    if (buffer_arg.partitioned) {
-      begin = slice_first * buffer_arg.stride;
-      end = begin + slice_count * buffer_arg.stride;
-    }
+    const auto [begin, end] = slice(buffer_arg);
     working_set.push_back({buffer_arg.id, begin, end});
     pins.Pin(buffer_arg.buffer, node, epoch);
   }
@@ -1882,13 +1822,13 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
 
   // ---- Stage program + data (per-command prologue, per-object locks) -----
   HAOCL_RETURN_IF_ERROR(
-      EnsureProgramOnNode(work->program_id, *work->program, node));
+      EnsureProgramOnNode(spec.program, *work->program, node));
 
   LaunchResult result;
   result.node = node;
   const double compute_amp = timeline_->compute_amplification();
   net::LaunchKernelRequest request;
-  request.program_id = work->program_id;
+  request.program_id = spec.program;
   request.kernel_name = spec.kernel_name;
   request.work_dim = spec.work_dim;
   for (int d = 0; d < 3; ++d) {
@@ -1899,8 +1839,8 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
   request.local_specified = spec.local_specified;
   // Elastic tag: lets the node skip this chunk if it was revoked between
   // submit and execution (stolen by a peer / re-queued after a failure).
-  request.elastic_launch_id = spec.elastic_launch_id;
-  request.elastic_chunk_id = spec.elastic_chunk_id;
+  request.elastic_launch_id = work->chunk.launch_id;
+  request.elastic_chunk_id = work->chunk.chunk_id;
   if (spec.cost_hint.has_value()) {
     // Ship the analytic hint (shard-scaled at submit) so the node's
     // timing model profiles the work the scheduler accounts — the static
@@ -1920,18 +1860,13 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
     net::WireKernelArg wire;
     switch (arg.kind) {
       case KernelArgValue::Kind::kBuffer: {
-        LaunchWork::BufferArg& buffer_arg = *buffer_arg_it++;
+        const LaunchBufferArg& buffer_arg = *buffer_arg_it++;
         std::lock_guard<std::mutex> lock(buffer_arg.buffer->mutex);
         // Partitioned args need only this shard's slice on the node (a
         // single-shard launch's "slice" is its whole partition window);
         // replicated args need the full buffer. The directory ships just
         // the stale sub-ranges, sourcing peers directly where possible.
-        std::uint64_t begin = 0;
-        std::uint64_t end = buffer_arg.buffer->size;
-        if (buffer_arg.partitioned) {
-          begin = slice_first * buffer_arg.stride;
-          end = begin + slice_count * buffer_arg.stride;
-        }
+        const auto [begin, end] = slice(buffer_arg);
         HAOCL_RETURN_IF_ERROR(EnsureRangeOnNodeLocked(
             buffer_arg.id, *buffer_arg.buffer, node, begin, end,
             &result.bytes_shipped));
@@ -1986,12 +1921,7 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
   for (const auto& buffer_arg : work->buffers) {
     if (!buffer_arg.written) continue;
     std::lock_guard<std::mutex> lock(buffer_arg.buffer->mutex);
-    std::uint64_t begin = 0;
-    std::uint64_t end = buffer_arg.buffer->size;
-    if (buffer_arg.partitioned) {
-      begin = slice_first * buffer_arg.stride;
-      end = begin + slice_count * buffer_arg.stride;
-    }
+    const auto [begin, end] = slice(buffer_arg);
     buffer_arg.buffer->dir.MarkWritten(
         begin, end, static_cast<RegionDirectory::Owner>(node));
   }
@@ -2031,8 +1961,7 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
     for (const auto& buffer_arg : work->buffers) {
       if (!buffer_arg.partitioned) continue;
       std::lock_guard<std::mutex> lock(buffer_arg.buffer->mutex);
-      const std::uint64_t begin = slice_first * buffer_arg.stride;
-      const std::uint64_t end = begin + slice_count * buffer_arg.stride;
+      const auto [begin, end] = slice(buffer_arg);
       HAOCL_RETURN_IF_ERROR(EvictRangeFromNodeLocked(
           buffer_arg.id, *buffer_arg.buffer, node, begin, end));
     }
@@ -2057,7 +1986,7 @@ Status ClusterRuntime::ExecLaunch(const std::shared_ptr<LaunchWork>& work,
   // Elastic re-executions (recovery re-runs, steal re-targets) account
   // their input movement to the reexec bucket too: bytes a fault-free run
   // would not have shipped.
-  if (spec.reexec && result.bytes_shipped > 0) {
+  if (work->chunk.reexec && result.bytes_shipped > 0) {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     stats_.reexec_bytes += result.bytes_shipped;
   }
@@ -2393,7 +2322,11 @@ Status ClusterRuntime::ReadBuffer(BufferId id, std::uint64_t offset,
 }
 
 Expected<LaunchResult> ClusterRuntime::LaunchKernel(const LaunchSpec& spec) {
-  auto handle = SubmitLaunch(spec);
+  return AwaitLaunch(SubmitLaunch(spec));
+}
+
+Expected<LaunchResult> ClusterRuntime::AwaitLaunch(
+    const Expected<CommandHandle>& handle) {
   if (!handle.ok()) return handle.status();
   const Status wait_status = Wait(*handle);
   Expected<LaunchResult> result =
@@ -2425,44 +2358,65 @@ Expected<sched::ClusterView> ClusterRuntime::QueryClusterView() {
     futures.push_back(nodes_[i]->CallAsync(MsgType::kQueryLoad,
                                            options_.session_id, {}));
   }
-  sched::ClusterView view;
+  // Replies first: they refresh the broker snapshot and the shared rates
+  // (Seed only fills kernels this session has no local samples for) that
+  // the host-side view below reflects.
+  std::vector<std::optional<net::LoadReply>> loads(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const auto* reply = futures[i]->WaitFor(options_.rpc_timeout);
+    if (reply == nullptr || !CheckReply(*reply, MsgType::kLoadReply).ok()) {
+      continue;
+    }
+    auto load = net::LoadReply::Decode((*reply)->payload);
+    if (!load.ok()) continue;
+    for (const net::WireKernelRate& rate : load->kernel_rates) {
+      rate_table_->Seed(i, rate.kernel, rate.seconds_per_flop, rate.samples);
+    }
+    loads[i] = *std::move(load);
+  }
+  std::lock_guard<std::mutex> lock(sched_mutex_);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (!loads[i].has_value()) continue;
+    node_broker_backlog_[i] = loads[i]->node_backlog_seconds;
+    node_active_weight_[i] = loads[i]->active_weight;
+  }
+  sched::ClusterView view = HostClusterViewLocked("");
+  // Overlay what only the node knows; a silent node reads as not alive.
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    sched::NodeView& node = view.nodes[i];
+    if (!loads[i].has_value()) {
+      node.alive = false;
+      continue;
+    }
+    node.queue_depth += loads[i]->queue_depth;
+    node.kernels_executed = loads[i]->kernels_executed;
+  }
+  return view;
+}
+
+sched::ClusterView ClusterRuntime::HostClusterViewLocked(
+    const std::string& kernel_name) const {
+  sched::ClusterView view;
+  view.nodes.reserve(devices_.size());
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
     sched::NodeView node;
     node.name = devices_[i].name;
     node.type = devices_[i].type;
     node.spec = sim::SpecForType(devices_[i].type);
     node.link = options_.link;
+    node.queue_depth = in_flight_[i];
+    node.busy_seconds_ahead = node_busy_ahead_[i];
+    node.observed_seconds_per_flop = rate_table_->NodeAverage(i);
+    const sched::KernelRateTable::Rate rate =
+        rate_table_->Lookup(i, kernel_name);
+    node.kernel_seconds_per_flop = rate.seconds_per_flop;
+    node.kernel_rate_samples = rate.samples;
     node.mem_capacity_bytes = node_pools_[i]->capacity();
     node.mem_free_bytes = node_pools_[i]->free_bytes();
-    const auto* reply = futures[i]->WaitFor(options_.rpc_timeout);
-    Status status =
-        reply == nullptr
-            ? Status(ErrorCode::kNetworkError, "load query timeout")
-            : CheckReply(*reply, MsgType::kLoadReply);
-    if (status.ok()) {
-      auto load = net::LoadReply::Decode((*reply)->payload);
-      if (load.ok()) {
-        // Fold the broker's shared rates in first (only seeds kernels this
-        // session has no local samples for) so the view below reflects
-        // them.
-        for (const net::WireKernelRate& rate : load->kernel_rates) {
-          rate_table_->Seed(i, rate.kernel, rate.seconds_per_flop,
-                            rate.samples);
-        }
-        std::lock_guard<std::mutex> lock(sched_mutex_);
-        node.queue_depth = load->queue_depth + in_flight_[i];
-        node.busy_seconds_ahead = node_busy_ahead_[i];
-        node.kernels_executed = load->kernels_executed;
-        node.observed_seconds_per_flop = rate_table_->NodeAverage(i);
-        node_broker_backlog_[i] = load->node_backlog_seconds;
-        node_active_weight_[i] = load->active_weight;
-        node.node_backlog_seconds = node_broker_backlog_[i];
-        node.tenant_weight = options_.tenant_weight;
-        node.active_weight = node_active_weight_[i];
-      }
-    } else {
-      node.alive = false;
-    }
+    node.node_backlog_seconds = node_broker_backlog_[i];
+    node.tenant_weight = options_.tenant_weight;
+    node.active_weight = node_active_weight_[i];
+    node.alive = !node_dead_[i];
     view.nodes.push_back(std::move(node));
   }
   return view;
@@ -2493,132 +2447,6 @@ std::uint64_t ClusterRuntime::TotalBytesSent() const {
   std::uint64_t total = 0;
   for (const auto& node : nodes_) total += node->bytes_sent();
   return total;
-}
-
-Expected<ClusterRuntime::ElasticPreview> ClusterRuntime::PreviewPlacement(
-    const LaunchSpec& spec) {
-  std::lock_guard<std::mutex> state_lock(state_mutex_);
-  auto program_it = programs_.find(spec.program);
-  if (program_it == programs_.end()) {
-    return Status(ErrorCode::kInvalidProgram,
-                  "no program " + std::to_string(spec.program));
-  }
-  const ProgramPtr program = program_it->second;
-  const oclc::CompiledFunction* kernel =
-      program->module->FindKernel(spec.kernel_name);
-  if (kernel == nullptr) {
-    return Status(ErrorCode::kInvalidKernelName,
-                  "no kernel '" + spec.kernel_name + "' in program");
-  }
-  if (kernel->params.size() != spec.args.size()) {
-    return Status(ErrorCode::kInvalidKernelArgs,
-                  "kernel '" + spec.kernel_name + "' takes " +
-                      std::to_string(kernel->params.size()) + " args, got " +
-                      std::to_string(spec.args.size()));
-  }
-  // Condensed TaskInfo build (SubmitLaunch's accounting, minus the
-  // per-buffer locality hints — the coordinator rebalances dynamically,
-  // so the initial split need not be locality-perfect).
-  sched::TaskInfo task;
-  task.kernel_name = spec.kernel_name;
-  task.user_id = options_.session_id;
-  task.preferred_node = spec.preferred_node;
-  task.fpga_binary_available =
-      driver::NativeKernelRegistry::Instance().Contains(spec.kernel_name);
-  task.dim0_extent = spec.global[0];
-  task.dim0_align =
-      spec.local_specified ? std::max<std::uint64_t>(1, spec.local[0]) : 1;
-  const bool range_free =
-      !KernelMayQueryLaunchRange(*program->module, *kernel);
-  task.splittable = spec.work_dim >= 1 && spec.global[0] > 0 && range_free;
-  std::vector<oclc::ArgBinding> fake_bindings;
-  for (std::size_t i = 0; i < spec.args.size(); ++i) {
-    const KernelArgValue& arg = spec.args[i];
-    if (arg.kind != KernelArgValue::Kind::kBuffer) {
-      fake_bindings.push_back(oclc::ArgBinding{});
-      continue;
-    }
-    auto it = buffers_.find(arg.buffer);
-    if (it == buffers_.end()) {
-      return Status(ErrorCode::kInvalidMemObject,
-                    "arg " + std::to_string(i) + ": no such buffer");
-    }
-    const bool written = !kernel->params[i].pointee_const;
-    const bool partitioned =
-        arg.access == KernelArgValue::Access::kPartitionedDim0 && range_free;
-    if (partitioned && arg.partition_stride == 0) {
-      return Status(ErrorCode::kInvalidValue,
-                    "arg " + std::to_string(i) +
-                        ": partitioned access needs a non-zero stride");
-    }
-    if (written && !partitioned) task.splittable = false;
-    task.input_bytes += partitioned ? spec.global[0] * arg.partition_stride
-                                    : it->second->size;
-    if (partitioned) {
-      task.bytes_per_index += arg.partition_stride;
-    } else {
-      task.replicated_bytes += it->second->size;
-    }
-    oclc::ArgBinding binding;
-    binding.kind = oclc::ArgBinding::Kind::kBuffer;
-    binding.size = it->second->size;
-    fake_bindings.push_back(binding);
-  }
-  if (!task.splittable) {
-    return Status(
-        ErrorCode::kInvalidOperation,
-        "kernel '" + spec.kernel_name +
-            "' is not splittable (elastic execution re-targets chunks "
-            "freely: the kernel must be range-free and every written "
-            "buffer annotated kPartitionedDim0)");
-  }
-  if (spec.cost_hint.has_value()) {
-    task.cost = *spec.cost_hint;
-  } else {
-    oclc::NDRange range;
-    range.work_dim = spec.work_dim;
-    for (int d = 0; d < 3; ++d) {
-      range.global[d] = spec.global[d];
-      range.local[d] = spec.local[d];
-      range.offset[d] = spec.global_offset[d];
-    }
-    range.local_specified = spec.local_specified;
-    task.cost = driver::EstimateKernelCost(*program->module, *kernel,
-                                           fake_bindings, range);
-  }
-
-  std::lock_guard<std::mutex> sched_lock(sched_mutex_);
-  sched::ClusterView view;
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    sched::NodeView node;
-    node.name = devices_[i].name;
-    node.type = devices_[i].type;
-    node.spec = sim::SpecForType(devices_[i].type);
-    node.link = options_.link;
-    node.queue_depth = in_flight_[i];
-    node.busy_seconds_ahead = node_busy_ahead_[i];
-    node.observed_seconds_per_flop = rate_table_->NodeAverage(i);
-    const sched::KernelRateTable::Rate rate =
-        rate_table_->Lookup(i, spec.kernel_name);
-    node.kernel_seconds_per_flop = rate.seconds_per_flop;
-    node.kernel_rate_samples = rate.samples;
-    node.mem_capacity_bytes = node_pools_[i]->capacity();
-    node.mem_free_bytes = node_pools_[i]->free_bytes();
-    node.node_backlog_seconds = node_broker_backlog_[i];
-    node.tenant_weight = options_.tenant_weight;
-    node.active_weight = node_active_weight_[i];
-    node.alive = !node_dead_[i];
-    view.nodes.push_back(std::move(node));
-  }
-  auto planned = policy_->PlanLaunch(task, view);
-  if (!planned.ok()) return planned.status();
-  HAOCL_RETURN_IF_ERROR(sched::ValidatePlan(*planned, task, view));
-  ElasticPreview preview;
-  preview.plan = *std::move(planned);
-  preview.align = task.dim0_align;
-  preview.flops_total = task.cost.flops;
-  preview.cost = task.cost;
-  return preview;
 }
 
 Status ClusterRuntime::ProbeNode(std::size_t node) {

@@ -49,6 +49,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
@@ -310,16 +311,6 @@ class ClusterRuntime {
     std::uint64_t global_offset[3] = {0, 0, 0};
     bool local_specified = false;
     int preferred_node = -1;  // User instruction; -1 lets the policy pick.
-    // Elastic sub-launch plumbing. force_node >= 0 bypasses the policy
-    // entirely: the whole range runs on that node as one shard (the
-    // coordinator already decided placement chunk by chunk). The tags ride
-    // the wire so the node can skip the chunk if it was revoked after
-    // submit; reexec marks a recovery/steal re-run whose input bytes are
-    // accounted to TransferStats.reexec_bytes.
-    int force_node = -1;
-    std::uint64_t elastic_launch_id = 0;
-    std::uint64_t elastic_chunk_id = 0;
-    bool reexec = false;
     // Analytic work estimate. The driver's static estimator cannot see
     // data-dependent loop trip counts (e.g. the N-iteration dot product in
     // naive matmul), so workloads that know their exact flop/byte counts
@@ -431,11 +422,13 @@ class ClusterRuntime {
 
   // ---- Elastic execution (src/elastic) -----------------------------------
   // LaunchElastic runs one splittable kernel launch as a ledger of
-  // steal-able chunks driven by a StealCoordinator: the plan's shards are
-  // cut into chunks, each chunk runs as a force_node sub-launch, drained
-  // nodes steal tail chunks from the slowest peer, and a node that dies
-  // mid-launch has its chunks re-queued onto survivors from directory
-  // state — the launch completes bit-identical either way.
+  // steal-able chunks driven by a StealCoordinator. It validates and plans
+  // exactly like SubmitLaunch (the shared prepare step), cuts the plan's
+  // shards into chunks, and commits each chunk as a one-shard plan on the
+  // node the coordinator picked. Drained nodes steal tail chunks from the
+  // slowest peer, and a node that dies mid-launch has its chunks re-queued
+  // onto survivors from directory state — the launch completes
+  // bit-identical either way.
   struct ElasticOptions {
     // Dim-0 indices per chunk (aligned up to the launch's dim0_align);
     // 0 = cut each shard into kDefaultChunksPerShard chunks.
@@ -466,11 +459,11 @@ class ClusterRuntime {
   // dead fails immediately with kNodeLost.
   Status ProbeNode(std::size_t node);
   // Declares `node` dead: excluded from future plans (NodeView.alive),
-  // launches forced onto it fail with kNodeLost, and every buffer region
-  // whose ONLY fresh copy lived there falls back to the host shadow's
-  // retained pre-image. Returns those sole-owner regions — the data that
-  // was actually lost (recovery re-executes exactly the chunks that
-  // produced it).
+  // elastic chunks committed to it fail with kNodeLost, and every buffer
+  // region whose ONLY fresh copy lived there falls back to the host
+  // shadow's retained pre-image. Returns those sole-owner regions — the
+  // data that was actually lost (recovery re-executes exactly the chunks
+  // that produced it).
   struct LostRange {
     BufferId buffer = 0;
     std::uint64_t begin = 0;
@@ -606,21 +599,58 @@ class ClusterRuntime {
                   std::uint64_t src_offset, BufferId dst_id,
                   const BufferPtr& dst, std::uint64_t dst_offset,
                   std::uint64_t size);
-  // Elastic planning: asks the policy for the initial shard split the
-  // chunk ledger is cut from, without submitting anything. Fails unless
-  // the launch is splittable (range-free kernel, every written buffer
-  // kPartitionedDim0) — elastic execution re-targets chunks freely, which
-  // only a splittable launch tolerates.
-  struct ElasticPreview {
-    sched::PlacementPlan plan;
-    std::uint64_t align = 1;
-    double flops_total = 0.0;   // Cost-model flops for the whole launch.
-    sim::KernelCost cost;       // Full-launch analytic cost; chunks carry
-                                // this (row-scaled) as their hint so a
-                                // chunk is billed its rows, not a cold
-                                // pass over the node's whole allocation.
+  // ---- Launch planning (one path for SubmitLaunch and LaunchElastic) -----
+  // One buffer argument of a launch, resolved at submit.
+  struct LaunchBufferArg {
+    BufferId id = 0;
+    BufferPtr buffer;
+    bool written = false;      // Bound to a non-const pointer parameter.
+    bool partitioned = false;  // kPartitionedDim0 on a range-free kernel.
+    std::uint64_t stride = 0;  // Bytes per dim-0 index (partitioned).
+    // Byte range that dim-0 indices [first, first + count) touch: their
+    // partition window for partitioned args, the whole buffer otherwise.
+    [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> Window(
+        std::uint64_t first, std::uint64_t count) const {
+      if (!partitioned) return {0, buffer->size};
+      return {first * stride, (first + count) * stride};
+    }
   };
-  Expected<ElasticPreview> PreviewPlacement(const LaunchSpec& spec);
+  // A validated and planned launch: program, kernel and buffers resolved,
+  // the scheduler's TaskInfo built against the host-side ClusterView, and
+  // the policy's plan checked by ValidatePlan.
+  struct PreparedLaunch {
+    LaunchSpec spec;
+    ProgramPtr program;
+    std::vector<LaunchBufferArg> buffers;
+    sched::TaskInfo task;
+    sched::ClusterView view;
+    sched::PlacementPlan plan;
+  };
+  // Identity of an elastic chunk riding a committed shard. The ids go on
+  // the wire so the node can skip a chunk revoked after submit; reexec
+  // marks a recovery/steal re-run whose input bytes count as
+  // TransferStats.reexec_bytes. All zero for ordinary launches.
+  struct ChunkTag {
+    std::uint64_t launch_id = 0;
+    std::uint64_t chunk_id = 0;
+    bool reexec = false;
+  };
+  // The prepare step: validation, TaskInfo, locality hints, policy plan.
+  // Requires state_mutex_ held.
+  Expected<PreparedLaunch> PrepareLaunchLocked(const LaunchSpec& spec);
+  // The commit step: charges the backlog, cuts out-of-core stages, fans
+  // out one command per shard of `plan` (plus a join for several), and
+  // records hazards over the plan's dim-0 range. Requires state_mutex_.
+  Expected<CommandHandle> CommitLaunchLocked(
+      const PreparedLaunch& launch, const sched::PlacementPlan& plan,
+      std::vector<CommandHandle> deps, std::vector<CommandHandle> order_after,
+      const ChunkTag& chunk);
+  // Waits for a launch handle, reads its result, and releases it.
+  Expected<LaunchResult> AwaitLaunch(const Expected<CommandHandle>& handle);
+  // The host-side view of every node as the scheduler sees it, with the
+  // observed rates of `kernel_name`. Requires sched_mutex_ held.
+  [[nodiscard]] sched::ClusterView HostClusterViewLocked(
+      const std::string& kernel_name) const;
 
   struct LaunchPlan;  // Queryable residue (LaunchResult) per launch.
   struct LaunchWork;  // Heavy captures owned by the command body.

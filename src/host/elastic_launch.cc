@@ -1,17 +1,19 @@
 // Elastic launch: ClusterRuntime::LaunchElastic and the adapter that
 // bridges the StealCoordinator's ChunkExecutor interface onto the runtime.
 //
-// The flow: PreviewPlacement asks the session's scheduling policy for the
-// initial shard split; the ChunkLedger cuts it into steal-able chunks;
-// the StealCoordinator drains the ledger, running each chunk as an
-// ordinary force_node sub-launch through the full coherence machinery
-// (slice prologue, directory epilogue, rate feedback). Work stealing and
-// failure recovery are entirely ledger-side re-targeting — the chunk
-// sub-launch path is oblivious to both, which is what keeps the result
-// bit-identical to the single-node run.
+// The flow: the launch is validated and planned by the same prepare step
+// SubmitLaunch uses (PrepareLaunchLocked), so both paths accept and refuse
+// exactly the same specs and the initial split sees the same locality
+// hints. The ChunkLedger cuts that plan into steal-able chunks, and the
+// StealCoordinator drains the ledger, committing each chunk as a
+// one-shard plan {node, offset, count} through SubmitLaunch's commit step
+// (CommitLaunchLocked) — the full coherence machinery of slice prologue,
+// directory epilogue and rate feedback, without re-validating or
+// re-planning. Work stealing and failure recovery are entirely
+// ledger-side re-targeting — the commit path is oblivious to both, which
+// is what keeps the result bit-identical to the single-node run.
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <string>
 
 #include "common/log.h"
@@ -24,27 +26,16 @@ namespace haocl::host {
 // either public API or read under the runtime's own locks (friend).
 class RuntimeChunkExecutor : public elastic::ChunkExecutor {
  public:
-  // Per-buffer-arg facts the executor needs for locality ranking and
-  // lost-row conversion (precomputed by LaunchElastic from kernel params).
-  struct PartArg {
-    BufferId id = 0;
-    std::uint64_t stride = 0;
-    bool written = false;
-  };
-
   RuntimeChunkExecutor(ClusterRuntime* runtime,
-                       const ClusterRuntime::LaunchSpec& spec,
-                       std::uint64_t launch_id, double flops_total,
-                       std::vector<PartArg> part_args,
+                       const ClusterRuntime::PreparedLaunch& launch,
+                       std::uint64_t launch_id,
                        elastic::FaultInjector* faults)
       : runtime_(runtime),
-        spec_(spec),
+        launch_(launch),
         launch_id_(launch_id),
         faults_(faults),
-        part_args_(std::move(part_args)),
-        flops_total_(flops_total),
         rows_total_(static_cast<double>(
-            std::max<std::uint64_t>(1, spec.global[0]))),
+            std::max<std::uint64_t>(1, launch.spec.global[0]))),
         seconds_per_row_(runtime->devices_.size(), 0.0) {}
 
   Expected<elastic::ChunkOutcome> Execute(const elastic::Chunk& chunk,
@@ -53,19 +44,18 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
       Status scripted = faults_->BeforeExecute(node);
       if (!scripted.ok()) return scripted;
     }
-    ClusterRuntime::LaunchSpec sub = spec_;
-    sub.global[0] = chunk.count;
-    sub.global_offset[0] = spec_.global_offset[0] + chunk.offset;
-    sub.preferred_node = -1;
-    sub.force_node = static_cast<int>(node);
-    sub.elastic_launch_id = launch_id_;
-    sub.elastic_chunk_id = chunk.id;
-    sub.reexec = chunk.stolen || chunk.attempts > 1;
-    if (spec_.cost_hint.has_value()) {
-      sub.cost_hint = spec_.cost_hint->Scaled(
-          static_cast<double>(chunk.count) / rows_total_);
-    }
-    auto result = runtime_->LaunchKernel(sub);
+    sched::PlacementPlan plan;
+    plan.shards.push_back({node, chunk.offset, chunk.count, 1.0});
+    const ClusterRuntime::ChunkTag tag{launch_id_, chunk.id,
+                                       chunk.stolen || chunk.attempts > 1};
+    Expected<CommandHandle> handle = [&]() -> Expected<CommandHandle> {
+      std::lock_guard<std::mutex> lock(runtime_->state_mutex_);
+      if (runtime_->disconnected_) {
+        return Status(ErrorCode::kInvalidOperation, "runtime disconnected");
+      }
+      return runtime_->CommitLaunchLocked(launch_, plan, {}, {}, tag);
+    }();
+    auto result = runtime_->AwaitLaunch(handle);
     if (!result.ok()) return result.status();
     double seconds = result->modeled_seconds;
     if (faults_ != nullptr) seconds += faults_->AfterExecute(node);
@@ -109,10 +99,11 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
     }
     // Cold start: the cross-launch learned rate table, scaled to rows.
     const sched::KernelRateTable::Rate rate =
-        runtime_->ObservedKernelRate(node, spec_.kernel_name);
+        runtime_->ObservedKernelRate(node, launch_.spec.kernel_name);
+    const double flops_total = launch_.task.cost.flops;
     if (rate.samples > 0 && rate.seconds_per_flop > 0.0 &&
-        flops_total_ > 0.0) {
-      return rate.seconds_per_flop * (flops_total_ / rows_total_);
+        flops_total > 0.0) {
+      return rate.seconds_per_flop * (flops_total / rows_total_);
     }
     return 0.0;
   }
@@ -127,25 +118,17 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
   std::uint64_t ResidentRowsOn(std::size_t node, std::uint64_t offset,
                                std::uint64_t count) override {
     // The first partitioned arg stands in for the chunk's input locality.
-    for (const PartArg& arg : part_args_) {
-      if (arg.stride == 0) continue;
-      ClusterRuntime::BufferPtr buffer;
-      {
-        std::lock_guard<std::mutex> state_lock(runtime_->state_mutex_);
-        auto it = runtime_->buffers_.find(arg.id);
-        if (it == runtime_->buffers_.end()) return 0;
-        buffer = it->second;
-      }
-      const std::uint64_t begin =
-          (spec_.global_offset[0] + offset) * arg.stride;
-      const std::uint64_t end = begin + count * arg.stride;
+    for (const ClusterRuntime::LaunchBufferArg& arg : launch_.buffers) {
+      if (!arg.partitioned) continue;
+      const auto [begin, end] =
+          arg.Window(launch_.spec.global_offset[0] + offset, count);
       // Advisory only — never block on a buffer amid a transfer.
-      std::unique_lock<std::mutex> buffer_lock(buffer->mutex,
+      std::unique_lock<std::mutex> buffer_lock(arg.buffer->mutex,
                                                std::try_to_lock);
       if (!buffer_lock.owns_lock()) return 0;
       std::uint64_t bytes = 0;
       for (const RegionDirectory::Region& region :
-           buffer->dir.Query(begin, end)) {
+           arg.buffer->dir.Query(begin, end)) {
         for (RegionDirectory::Owner owner : region.owners) {
           if (owner == node) bytes += region.end - region.begin;
         }
@@ -164,11 +147,11 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
     // surviving owners for free, but a lost OUTPUT range means the chunk
     // that produced it must re-run.
     std::vector<elastic::ChunkLedger::RowSpan> spans;
-    const std::uint64_t first = spec_.global_offset[0];
-    const std::uint64_t extent = spec_.global[0];
+    const std::uint64_t first = launch_.spec.global_offset[0];
+    const std::uint64_t extent = launch_.spec.global[0];
     for (const ClusterRuntime::LostRange& range : *lost) {
-      for (const PartArg& arg : part_args_) {
-        if (!arg.written || arg.id != range.buffer || arg.stride == 0) {
+      for (const ClusterRuntime::LaunchBufferArg& arg : launch_.buffers) {
+        if (!arg.written || !arg.partitioned || arg.id != range.buffer) {
           continue;
         }
         std::uint64_t row_begin = range.begin / arg.stride;
@@ -184,11 +167,9 @@ class RuntimeChunkExecutor : public elastic::ChunkExecutor {
 
  private:
   ClusterRuntime* runtime_;
-  const ClusterRuntime::LaunchSpec spec_;
+  const ClusterRuntime::PreparedLaunch& launch_;
   const std::uint64_t launch_id_;
   elastic::FaultInjector* faults_;
-  const std::vector<PartArg> part_args_;
-  const double flops_total_;
   const double rows_total_;
   std::mutex mutex_;
   std::vector<double> seconds_per_row_;  // Learned this launch, per node.
@@ -201,13 +182,21 @@ Expected<ClusterRuntime::ElasticResult> ClusterRuntime::LaunchElastic(
 
 Expected<ClusterRuntime::ElasticResult> ClusterRuntime::LaunchElastic(
     const LaunchSpec& spec, const ElasticOptions& options) {
-  if (spec.force_node >= 0 || spec.elastic_launch_id != 0) {
-    return Status(ErrorCode::kInvalidValue,
-                  "LaunchElastic drives its own chunk placement; do not set "
-                  "force_node or elastic tags on the spec");
+  Expected<PreparedLaunch> launch = [&]() -> Expected<PreparedLaunch> {
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    return PrepareLaunchLocked(spec);
+  }();
+  if (!launch.ok()) return launch.status();
+  if (!launch->task.splittable) {
+    return Status(
+        ErrorCode::kInvalidOperation,
+        "kernel '" + spec.kernel_name +
+            "' is not splittable (elastic execution re-targets chunks "
+            "freely: the kernel must be range-free and every written "
+            "buffer annotated kPartitionedDim0)");
   }
-  auto preview = PreviewPlacement(spec);
-  if (!preview.ok()) return preview.status();
+  const sched::PlacementPlan& plan = launch->plan;
+  const std::uint64_t align = launch->task.dim0_align;
 
   // Chunk granularity: explicit rows, or cut the largest shard into
   // kDefaultChunksPerShard pieces so even a one-node plan yields work the
@@ -215,63 +204,30 @@ Expected<ClusterRuntime::ElasticResult> ClusterRuntime::LaunchElastic(
   std::uint64_t chunk_rows = options.chunk_rows;
   if (chunk_rows == 0) {
     std::uint64_t max_shard = 0;
-    for (const sched::PlacementShard& shard : preview->plan.shards) {
+    for (const sched::PlacementShard& shard : plan.shards) {
       max_shard = std::max(max_shard, shard.global_count);
     }
     chunk_rows = std::max<std::uint64_t>(
-        preview->align,
-        (max_shard + ElasticOptions::kDefaultChunksPerShard - 1) /
-            ElasticOptions::kDefaultChunksPerShard);
+        align, (max_shard + ElasticOptions::kDefaultChunksPerShard - 1) /
+                   ElasticOptions::kDefaultChunksPerShard);
   }
 
   elastic::ChunkLedger ledger;
-  HAOCL_RETURN_IF_ERROR(ledger.Init(preview->plan, preview->align, chunk_rows));
+  HAOCL_RETURN_IF_ERROR(ledger.Init(plan, align, chunk_rows));
 
   static std::atomic<std::uint64_t> next_launch_id{1};
   const std::uint64_t launch_id =
       next_launch_id.fetch_add(1, std::memory_order_relaxed);
-
-  // Partitioned-arg metadata for the executor (written-ness from the
-  // kernel's parameter constness, as SubmitLaunch determines it).
-  std::vector<RuntimeChunkExecutor::PartArg> part_args;
-  {
-    std::lock_guard<std::mutex> state_lock(state_mutex_);
-    auto program_it = programs_.find(spec.program);
-    if (program_it == programs_.end()) {
-      return Status(ErrorCode::kInvalidProgram,
-                    "no program " + std::to_string(spec.program));
-    }
-    const oclc::CompiledFunction* kernel =
-        program_it->second->module->FindKernel(spec.kernel_name);
-    if (kernel == nullptr) {
-      return Status(ErrorCode::kInvalidKernelName,
-                    "no kernel '" + spec.kernel_name + "'");
-    }
-    for (std::size_t i = 0; i < spec.args.size(); ++i) {
-      const KernelArgValue& arg = spec.args[i];
-      if (arg.kind != KernelArgValue::Kind::kBuffer ||
-          arg.access != KernelArgValue::Access::kPartitionedDim0) {
-        continue;
-      }
-      RuntimeChunkExecutor::PartArg part;
-      part.id = arg.buffer;
-      part.stride = arg.partition_stride;
-      part.written = !kernel->params[i].pointee_const;
-      part_args.push_back(part);
-    }
-  }
 
   // Chunks carry the full launch's analytic cost scaled to their rows: a
   // re-chunked device-side estimate would re-charge every chunk a cold
   // pass over the node's whole resident allocation, billing ~N chunks at
   // full-buffer memory time and drowning the real per-row rates the
   // steal loop needs to see.
-  ClusterRuntime::LaunchSpec chunk_spec = spec;
-  if (!chunk_spec.cost_hint.has_value()) {
-    chunk_spec.cost_hint = preview->cost;
+  if (!launch->spec.cost_hint.has_value()) {
+    launch->spec.cost_hint = launch->task.cost;
   }
-  RuntimeChunkExecutor executor(this, chunk_spec, launch_id,
-                                preview->flops_total, std::move(part_args),
+  RuntimeChunkExecutor executor(this, *launch, launch_id,
                                 options.fault_injector);
 
   // Every live node participates — idle nodes outside the plan start with
@@ -309,8 +265,7 @@ Expected<ClusterRuntime::ElasticResult> ClusterRuntime::LaunchElastic(
   result.dead_nodes = report.dead_nodes;
   result.launch.modeled_seconds = report.makespan_seconds;
   result.launch.bytes_shipped = report.bytes_shipped;
-  result.launch.shard_count =
-      static_cast<std::uint32_t>(preview->plan.shards.size());
+  result.launch.shard_count = static_cast<std::uint32_t>(plan.shards.size());
   result.launch.stage_count = static_cast<std::uint32_t>(report.chunks_total);
   // Report the busiest node as "the" node, like a multi-shard aggregate.
   double busiest = -1.0;

@@ -100,6 +100,17 @@ struct Fixture {
       ASSERT_EQ(got[i], 2 * (i + 1)) << "element " << i;
     }
   }
+
+  // Elements that differ from the freshly written input (i + 1).
+  std::size_t CountModified() {
+    std::vector<std::int32_t> got(kN);
+    EXPECT_TRUE(cluster->runtime()
+                    .ReadBuffer(buffer, 0, got.data(), kN * 4)
+                    .ok());
+    std::size_t modified = 0;
+    for (int i = 0; i < kN; ++i) modified += got[i] != i + 1;
+    return modified;
+  }
 };
 
 TEST(ElasticLaunchTest, ChunkedLaunchMatchesSingleNodeResult) {
@@ -205,12 +216,13 @@ TEST(ElasticLaunchTest, DeadNodeExcludedFromLaterLaunches) {
   auto again = f.cluster->runtime().LaunchElastic(f.Spec());
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_TRUE(again->dead_nodes.empty());
-  // A forced launch onto the corpse is refused.
-  ClusterRuntime::LaunchSpec forced = f.Spec();
-  forced.force_node = 1;
-  auto refused = f.cluster->runtime().LaunchKernel(forced);
+  // A user-directed launch onto the corpse is refused by the policy.
+  ASSERT_TRUE(f.cluster->runtime().SetScheduler("user").ok());
+  ClusterRuntime::LaunchSpec directed = f.Spec();
+  directed.preferred_node = 1;
+  auto refused = f.cluster->runtime().LaunchKernel(directed);
   ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), ErrorCode::kNodeLost);
+  EXPECT_EQ(refused.status().code(), ErrorCode::kNodeUnreachable);
   // Probing it fails; the others still answer.
   EXPECT_FALSE(f.cluster->runtime().ProbeNode(1).ok());
   EXPECT_TRUE(f.cluster->runtime().ProbeNode(0).ok());
@@ -237,11 +249,56 @@ TEST(ElasticLaunchTest, NonSplittableKernelRejected) {
   EXPECT_EQ(result.status().code(), ErrorCode::kInvalidOperation);
 }
 
-TEST(ElasticLaunchTest, ElasticTagsOnSpecRejected) {
+TEST(ElasticLaunchTest, WindowPastBufferEndRejectedBeforeAnyChunkRuns) {
   Fixture f = Fixture::Make();
   ClusterRuntime::LaunchSpec spec = f.Spec();
-  spec.force_node = 0;
-  EXPECT_FALSE(f.cluster->runtime().LaunchElastic(spec).ok());
+  spec.global_offset[0] = kN / 2;  // [kN/2, 3kN/2) overruns the buffer.
+  auto result = f.cluster->runtime().LaunchElastic(spec);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), ErrorCode::kInvalidValue);
+  EXPECT_EQ(f.CountModified(), 0u);
+}
+
+// LaunchKernel and LaunchElastic validate through one prepare step, so a
+// malformed spec fails with the same code on both.
+TEST(ElasticLaunchTest, MalformedSpecsFailAlikeOnBothPaths) {
+  Fixture f = Fixture::Make();
+  struct Case {
+    const char* name;
+    void (*mutate)(ClusterRuntime::LaunchSpec&);
+    ErrorCode code;
+  };
+  const Case cases[] = {
+      {"no such program",
+       [](ClusterRuntime::LaunchSpec& s) { s.program += 100; },
+       ErrorCode::kInvalidProgram},
+      {"no such kernel",
+       [](ClusterRuntime::LaunchSpec& s) { s.kernel_name = "tripler"; },
+       ErrorCode::kInvalidKernelName},
+      {"wrong arity",
+       [](ClusterRuntime::LaunchSpec& s) { s.args.pop_back(); },
+       ErrorCode::kInvalidKernelArgs},
+      {"no such buffer",
+       [](ClusterRuntime::LaunchSpec& s) { s.args[0].buffer += 100; },
+       ErrorCode::kInvalidMemObject},
+      {"zero partition stride",
+       [](ClusterRuntime::LaunchSpec& s) { s.args[0].partition_stride = 0; },
+       ErrorCode::kInvalidValue},
+      {"window past buffer end",
+       [](ClusterRuntime::LaunchSpec& s) { s.global_offset[0] = 1; },
+       ErrorCode::kInvalidValue},
+  };
+  for (const Case& c : cases) {
+    ClusterRuntime::LaunchSpec spec = f.Spec();
+    c.mutate(spec);
+    auto kernel = f.cluster->runtime().LaunchKernel(spec);
+    auto elastic = f.cluster->runtime().LaunchElastic(spec);
+    ASSERT_FALSE(kernel.ok()) << c.name;
+    ASSERT_FALSE(elastic.ok()) << c.name;
+    EXPECT_EQ(kernel.status().code(), c.code) << c.name;
+    EXPECT_EQ(elastic.status().code(), c.code) << c.name;
+  }
+  EXPECT_EQ(f.CountModified(), 0u);  // Every case failed before running.
 }
 
 }  // namespace

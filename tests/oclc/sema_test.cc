@@ -183,6 +183,10 @@ struct PromotionCase {
   const char* comment;
 };
 
+// Prints the expression rather than the struct's raw bytes (which hold
+// pointers), so test names stay the same from one build to the next.
+void PrintTo(const PromotionCase& c, std::ostream* os) { *os << c.expr; }
+
 class SemaPromotionTest : public ::testing::TestWithParam<PromotionCase> {};
 
 TEST_P(SemaPromotionTest, WellTypedArithmeticAccepted) {
