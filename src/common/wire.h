@@ -2,10 +2,10 @@
 //
 // Everything that crosses a node boundary (API-call message packages, data
 // packages, responses) is encoded with these primitives: little-endian fixed
-// width integers, length-prefixed byte strings, and length-prefixed
-// containers. The format is deliberately simple so both the real TCP
-// transport and the simulated transport share one codec, and so a truncated
-// or corrupted frame is detected instead of read out of bounds.
+// width integers and length-prefixed byte strings. The format is deliberately
+// simple so both the real TCP transport and the simulated transport share
+// one codec, and so a truncated or corrupted frame is detected instead of
+// read out of bounds.
 #pragma once
 
 #include <cstdint>
@@ -66,13 +66,6 @@ class WireWriter {
     WriteBytes(v.data(), v.size());
   }
 
-  template <typename T>
-  void WriteFixedVector(const std::vector<T>& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    WriteU32(static_cast<std::uint32_t>(v.size()));
-    for (const T& item : v) WriteFixed(item);
-  }
-
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const& {
     return bytes_;
   }
@@ -94,7 +87,7 @@ class WireReader {
   template <typename T>
   Expected<T> ReadFixed() {
     static_assert(std::is_trivially_copyable_v<T>);
-    if (pos_ + sizeof(T) > size_) return Truncated("fixed");
+    if (sizeof(T) > remaining()) return Truncated("fixed");
     T value;
     std::memcpy(&value, data_ + pos_, sizeof(T));
     pos_ += sizeof(T);
@@ -117,7 +110,7 @@ class WireReader {
   Expected<std::string> ReadString() {
     auto len = ReadU32();
     if (!len.ok()) return len.status();
-    if (pos_ + *len > size_) return Truncated("string");
+    if (*len > remaining()) return Truncated("string");
     std::string s(reinterpret_cast<const char*>(data_ + pos_), *len);
     pos_ += *len;
     return s;
@@ -126,24 +119,11 @@ class WireReader {
   Expected<std::vector<std::uint8_t>> ReadByteVector() {
     auto len = ReadU64();
     if (!len.ok()) return len.status();
-    if (pos_ + *len > size_) return Truncated("bytes");
+    // Compared against what is left, never as pos_ + len: a hostile u64
+    // length would wrap that sum.
+    if (*len > remaining()) return Truncated("bytes");
     std::vector<std::uint8_t> v(data_ + pos_, data_ + pos_ + *len);
     pos_ += *len;
-    return v;
-  }
-
-  template <typename T>
-  Expected<std::vector<T>> ReadFixedVector() {
-    auto count = ReadU32();
-    if (!count.ok()) return count.status();
-    if (pos_ + static_cast<std::size_t>(*count) * sizeof(T) > size_) {
-      return Truncated("vector");
-    }
-    std::vector<T> v;
-    v.reserve(*count);
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      v.push_back(ReadFixed<T>().value());
-    }
     return v;
   }
 

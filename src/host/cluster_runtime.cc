@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/log.h"
+#include "common/wire.h"
 #include "driver/device_driver.h"
 #include "driver/native_registry.h"
 #include "oclc/builtins.h"
@@ -2551,15 +2552,23 @@ void ClusterRuntime::Disconnect() {
   }
   // Drain or fail every in-flight command before the wires go away.
   if (graph_ != nullptr) graph_->Shutdown();
+  // Close the session FIRST so the node tears down its DeviceSession and
+  // unregisters the broker tenancy — a churny client (thousands of
+  // short-lived sessions) must not leak node-side state. The close is a
+  // round trip, sent to every node before waiting on any, so the node-side
+  // teardown has finished when Disconnect returns. kShutdown then only
+  // stops the worker; its handler cleans up again idempotently as a
+  // belt-and-braces for clients predating this ordering. Errors are
+  // ignored: a node that is already gone has nothing left to close.
+  std::vector<net::RpcClient::ReplyFuture> closes;
   for (auto& node : nodes_) {
-    // Close the session FIRST so the node tears down its DeviceSession and
-    // unregisters the broker tenancy — a churny client (thousands of
-    // short-lived sessions) must not leak node-side state. kShutdown then
-    // only stops the worker; its handler cleans up again idempotently as a
-    // belt-and-braces for clients predating this ordering.
-    (void)node->Notify(MsgType::kCloseSession, options_.session_id, {});
-    (void)node->Notify(MsgType::kShutdown, options_.session_id, {});
-    node->Close();
+    closes.push_back(
+        node->CallAsync(MsgType::kCloseSession, options_.session_id, {}));
+  }
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    (void)closes[i]->WaitFor(options_.rpc_timeout);
+    (void)nodes_[i]->Notify(MsgType::kShutdown, options_.session_id, {});
+    nodes_[i]->Close();
   }
 }
 

@@ -1,749 +1,306 @@
 #include "net/protocol.h"
 
+#include <type_traits>
+
+#include "common/wire.h"
+
 namespace haocl::net {
 namespace {
 
-Status Malformed(const char* what) {
-  return Status(ErrorCode::kProtocolError,
-                std::string("malformed ") + what + " payload");
+template <typename T>
+struct IsVector : std::false_type {};
+template <typename T>
+struct IsVector<std::vector<T>> : std::true_type {};
+
+// The highest value of each enum that crosses the wire; decoding a larger
+// one is a protocol error, never an out-of-range enum.
+constexpr NodeType LastValue(NodeType) { return NodeType::kFpga; }
+constexpr WireKernelArg::Kind LastValue(WireKernelArg::Kind) {
+  return WireKernelArg::Kind::kLocalSize;
+}
+
+// Runs a field list forward. Without an output vector it only counts the
+// bytes, so Encode can size the payload exactly and allocate it once.
+class Encoder {
+ public:
+  explicit Encoder(std::vector<std::uint8_t>* out = nullptr) : out_(out) {}
+
+  template <typename... Ts>
+  void operator()(const Ts&... fields) {
+    (Field(fields), ...);
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+ private:
+  void Put(const void* data, std::size_t size) {
+    size_ += size;
+    if (out_ == nullptr) return;
+    const auto* bytes = static_cast<const std::uint8_t*>(data);
+    out_->insert(out_->end(), bytes, bytes + size);
+  }
+
+  template <typename T>
+  void Field(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      Field(static_cast<std::uint8_t>(v));
+    } else if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+      Put(&v, sizeof(T));
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      Field(static_cast<std::uint32_t>(v.size()));
+      Put(v.data(), v.size());
+    } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
+      Field(static_cast<std::uint64_t>(v.size()));
+      Put(v.data(), v.size());
+    } else if constexpr (IsVector<T>::value) {
+      Field(static_cast<std::uint32_t>(v.size()));
+      for (const auto& item : v) Field(item);
+    } else if constexpr (std::is_array_v<T>) {
+      for (const auto& item : v) Field(item);
+    } else {
+      Fields(*this, const_cast<T&>(v));  // Field lists only read here.
+    }
+  }
+
+  std::vector<std::uint8_t>* out_;
+  std::size_t size_ = 0;
+};
+
+// Runs a field list over a payload, filling the fields in. The first
+// failure sticks: every later field is skipped, so conditional parts of a
+// list never act on a value that was not read.
+class Decoder {
+ public:
+  explicit Decoder(const std::vector<std::uint8_t>& bytes) : in_(bytes) {}
+
+  template <typename... Ts>
+  void operator()(Ts&... fields) {
+    (Field(fields), ...);
+  }
+
+  [[nodiscard]] const Status& status() const { return status_; }
+
+ private:
+  template <typename T>
+  void Take(Expected<T> read, T& v) {
+    if (read.ok()) {
+      v = *std::move(read);
+    } else {
+      status_ = read.status();
+    }
+  }
+
+  template <typename T>
+  void Field(T& v) {
+    if (!status_.ok()) return;
+    if constexpr (std::is_same_v<T, bool>) {
+      std::uint8_t raw = 0;
+      Field(raw);
+      v = raw != 0;
+    } else if constexpr (std::is_enum_v<T>) {
+      std::underlying_type_t<T> raw{};
+      Field(raw);
+      if (raw > static_cast<decltype(raw)>(LastValue(T{}))) {
+        status_ = Status(ErrorCode::kProtocolError, "enum value out of range");
+      } else {
+        v = static_cast<T>(raw);
+      }
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      Take(in_.ReadFixed<T>(), v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      Take(in_.ReadString(), v);
+    } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
+      Take(in_.ReadByteVector(), v);
+    } else if constexpr (IsVector<T>::value) {
+      std::uint32_t count = 0;
+      Field(count);
+      // Every element takes at least one byte, so a count beyond the bytes
+      // left is a lie: reject it before anything is allocated for it.
+      if (count > in_.remaining()) {
+        status_ =
+            Status(ErrorCode::kProtocolError, "list count exceeds payload");
+      }
+      for (std::uint32_t i = 0; i < count && status_.ok(); ++i) {
+        Field(v.emplace_back());
+      }
+    } else if constexpr (std::is_array_v<T>) {
+      for (auto& item : v) Field(item);
+    } else {
+      Fields(*this, v);
+    }
+  }
+
+  WireReader in_;
+  Status status_;
+};
+
+template <typename T>
+std::vector<std::uint8_t> EncodeMessage(const T& message) {
+  Encoder sizer;
+  sizer(message);
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(sizer.size());
+  Encoder out(&bytes);
+  out(message);
+  return bytes;
+}
+
+template <typename T>
+Expected<T> DecodeMessage(const std::vector<std::uint8_t>& bytes,
+                          const char* name) {
+  T message;
+  Decoder in(bytes);
+  in(message);
+  if (!in.status().ok()) {
+    return Status(ErrorCode::kProtocolError, std::string("malformed ") +
+                                                 name + " payload: " +
+                                                 in.status().message());
+  }
+  return message;
 }
 
 }  // namespace
 
+// Defines Type::Encode and Type::Decode from Type's field list, which is
+// the function body written right after the macro: `io(m.a, m.b, ...)`
+// naming m's fields in wire order.
+#define HAOCL_WIRE_FIELDS(Type)                                          \
+  template <typename IO>                                                 \
+  void Fields(IO& io, Type& m);                                          \
+  std::vector<std::uint8_t> Type::Encode() const {                       \
+    return EncodeMessage(*this);                                         \
+  }                                                                      \
+  Expected<Type> Type::Decode(const std::vector<std::uint8_t>& bytes) {  \
+    return DecodeMessage<Type>(bytes, #Type);                            \
+  }                                                                      \
+  template <typename IO>                                                 \
+  void Fields(IO& io, Type& m)
+
+// Element types of the lists below carry field lists but no codec.
+
+template <typename IO>
+void Fields(IO& io, MemoryRegion& m) {
+  io(m.offset, m.size);
+}
+
+template <typename IO>
+void Fields(IO& io, WireKernelArg& m) {
+  io(m.kind);
+  switch (m.kind) {
+    case WireKernelArg::Kind::kBuffer:
+      io(m.buffer_id, m.written_begin, m.written_end);
+      break;
+    case WireKernelArg::Kind::kScalar:
+      io(m.scalar_bytes);
+      break;
+    case WireKernelArg::Kind::kLocalSize:
+      io(m.local_size);
+      break;
+  }
+}
+
+template <typename IO>
+void Fields(IO& io, WireKernelRate& m) {
+  io(m.kernel, m.seconds_per_flop, m.samples);
+}
+
+template <typename IO>
+void Fields(IO& io, BrokerTenantEntry& m) {
+  io(m.session, m.name, m.weight, m.mem_quota_bytes, m.resident_bytes,
+     m.backlog_seconds, m.served_seconds, m.launches_admitted,
+     m.launches_rejected, m.kernels_completed);
+}
+
 // ---------------------------------------------------------------- Handshake
 
-std::vector<std::uint8_t> HelloRequest::Encode() const {
-  WireWriter w;
-  w.WriteString(host_name);
-  w.WriteU32(protocol_version);
-  return std::move(w).Take();
-}
+HAOCL_WIRE_FIELDS(HelloRequest) { io(m.host_name, m.protocol_version); }
 
-Expected<HelloRequest> HelloRequest::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  HelloRequest out;
-  auto name = r.ReadString();
-  auto version = r.ReadU32();
-  if (!name.ok() || !version.ok()) return Malformed("HelloRequest");
-  out.host_name = *std::move(name);
-  out.protocol_version = *version;
-  return out;
-}
-
-std::vector<std::uint8_t> HelloReply::Encode() const {
-  WireWriter w;
-  w.WriteString(node_name);
-  w.WriteU8(static_cast<std::uint8_t>(device_type));
-  w.WriteString(device_model);
-  w.WriteF64(compute_gflops);
-  w.WriteF64(mem_bandwidth_gbps);
-  w.WriteU64(mem_capacity_bytes);
-  w.WriteU32(simd_width);
-  w.WriteU32(protocol_version);
-  return std::move(w).Take();
-}
-
-Expected<HelloReply> HelloReply::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  HelloReply out;
-  auto name = r.ReadString();
-  auto type = r.ReadU8();
-  auto model = r.ReadString();
-  auto gflops = r.ReadF64();
-  auto bw = r.ReadF64();
-  auto capacity = r.ReadU64();
-  auto simd = r.ReadU32();
-  auto version = r.ReadU32();
-  if (!name.ok() || !type.ok() || !model.ok() || !gflops.ok() || !bw.ok() ||
-      !capacity.ok() || !simd.ok() || !version.ok() || *type > 2) {
-    return Malformed("HelloReply");
-  }
-  out.node_name = *std::move(name);
-  out.device_type = static_cast<NodeType>(*type);
-  out.device_model = *std::move(model);
-  out.compute_gflops = *gflops;
-  out.mem_bandwidth_gbps = *bw;
-  out.mem_capacity_bytes = *capacity;
-  out.simd_width = *simd;
-  out.protocol_version = *version;
-  return out;
+HAOCL_WIRE_FIELDS(HelloReply) {
+  io(m.node_name, m.device_type, m.device_model, m.compute_gflops,
+     m.mem_bandwidth_gbps, m.mem_capacity_bytes, m.simd_width,
+     m.protocol_version);
 }
 
 // ------------------------------------------------------------------ Buffers
 
-std::vector<std::uint8_t> CreateBufferRequest::Encode() const {
-  WireWriter w;
-  w.WriteU64(buffer_id);
-  w.WriteU64(size);
-  return std::move(w).Take();
-}
+HAOCL_WIRE_FIELDS(CreateBufferRequest) { io(m.buffer_id, m.size); }
 
-Expected<CreateBufferRequest> CreateBufferRequest::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  CreateBufferRequest out;
-  auto id = r.ReadU64();
-  auto size = r.ReadU64();
-  if (!id.ok() || !size.ok()) return Malformed("CreateBuffer");
-  out.buffer_id = *id;
-  out.size = *size;
-  return out;
-}
+HAOCL_WIRE_FIELDS(WriteBufferRequest) { io(m.buffer_id, m.offset, m.data); }
 
-std::vector<std::uint8_t> WriteBufferRequest::Encode() const {
-  WireWriter w(24 + data.size());
-  w.WriteU64(buffer_id);
-  w.WriteU64(offset);
-  w.WriteByteVector(data);
-  return std::move(w).Take();
-}
+HAOCL_WIRE_FIELDS(ReadBufferRequest) { io(m.buffer_id, m.offset, m.size); }
 
-Expected<WriteBufferRequest> WriteBufferRequest::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  WriteBufferRequest out;
-  auto id = r.ReadU64();
-  auto offset = r.ReadU64();
-  auto data = r.ReadByteVector();
-  if (!id.ok() || !offset.ok() || !data.ok()) return Malformed("WriteBuffer");
-  out.buffer_id = *id;
-  out.offset = *offset;
-  out.data = *std::move(data);
-  return out;
-}
+HAOCL_WIRE_FIELDS(ReleaseBufferRequest) { io(m.buffer_id); }
 
-std::vector<std::uint8_t> ReadBufferRequest::Encode() const {
-  WireWriter w;
-  w.WriteU64(buffer_id);
-  w.WriteU64(offset);
-  w.WriteU64(size);
-  return std::move(w).Take();
-}
-
-Expected<ReadBufferRequest> ReadBufferRequest::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  ReadBufferRequest out;
-  auto id = r.ReadU64();
-  auto offset = r.ReadU64();
-  auto size = r.ReadU64();
-  if (!id.ok() || !offset.ok() || !size.ok()) return Malformed("ReadBuffer");
-  out.buffer_id = *id;
-  out.offset = *offset;
-  out.size = *size;
-  return out;
-}
-
-std::vector<std::uint8_t> ReleaseBufferRequest::Encode() const {
-  WireWriter w;
-  w.WriteU64(buffer_id);
-  return std::move(w).Take();
-}
-
-Expected<ReleaseBufferRequest> ReleaseBufferRequest::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  ReleaseBufferRequest out;
-  auto id = r.ReadU64();
-  if (!id.ok()) return Malformed("ReleaseBuffer");
-  out.buffer_id = *id;
-  return out;
-}
-
-std::vector<std::uint8_t> CopyBufferRequest::Encode() const {
-  WireWriter w;
-  w.WriteU64(src_buffer_id);
-  w.WriteU64(dst_buffer_id);
-  w.WriteU64(src_offset);
-  w.WriteU64(dst_offset);
-  w.WriteU64(size);
-  return std::move(w).Take();
-}
-
-Expected<CopyBufferRequest> CopyBufferRequest::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  CopyBufferRequest out;
-  auto src = r.ReadU64();
-  auto dst = r.ReadU64();
-  auto so = r.ReadU64();
-  auto dofs = r.ReadU64();
-  auto size = r.ReadU64();
-  if (!src.ok() || !dst.ok() || !so.ok() || !dofs.ok() || !size.ok()) {
-    return Malformed("CopyBuffer");
-  }
-  out.src_buffer_id = *src;
-  out.dst_buffer_id = *dst;
-  out.src_offset = *so;
-  out.dst_offset = *dofs;
-  out.size = *size;
-  return out;
+HAOCL_WIRE_FIELDS(CopyBufferRequest) {
+  io(m.src_buffer_id, m.dst_buffer_id, m.src_offset, m.dst_offset, m.size);
 }
 
 // ------------------------------------------------- Node-to-node exchange
 
-std::vector<std::uint8_t> PullSliceRequest::Encode() const {
-  WireWriter w;
-  w.WriteU64(buffer_id);
-  w.WriteU64(offset);
-  w.WriteU64(size);
-  w.WriteU32(source_node);
-  return std::move(w).Take();
+HAOCL_WIRE_FIELDS(PullSliceRequest) {
+  io(m.buffer_id, m.offset, m.size, m.source_node);
 }
 
-Expected<PullSliceRequest> PullSliceRequest::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  PullSliceRequest out;
-  auto id = r.ReadU64();
-  auto offset = r.ReadU64();
-  auto size = r.ReadU64();
-  auto source = r.ReadU32();
-  if (!id.ok() || !offset.ok() || !size.ok() || !source.ok()) {
-    return Malformed("PullSlice");
-  }
-  out.buffer_id = *id;
-  out.offset = *offset;
-  out.size = *size;
-  out.source_node = *source;
-  return out;
-}
-
-std::vector<std::uint8_t> PushSliceRequest::Encode() const {
-  WireWriter w;
-  w.WriteU64(buffer_id);
-  w.WriteU64(offset);
-  w.WriteU64(size);
-  w.WriteU32(target_node);
-  return std::move(w).Take();
-}
-
-Expected<PushSliceRequest> PushSliceRequest::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  PushSliceRequest out;
-  auto id = r.ReadU64();
-  auto offset = r.ReadU64();
-  auto size = r.ReadU64();
-  auto target = r.ReadU32();
-  if (!id.ok() || !offset.ok() || !size.ok() || !target.ok()) {
-    return Malformed("PushSlice");
-  }
-  out.buffer_id = *id;
-  out.offset = *offset;
-  out.size = *size;
-  out.target_node = *target;
-  return out;
+HAOCL_WIRE_FIELDS(PushSliceRequest) {
+  io(m.buffer_id, m.offset, m.size, m.target_node);
 }
 
 // ------------------------------------------------------------ Memory notices
 
-std::vector<std::uint8_t> MemoryNoticeRequest::Encode() const {
-  WireWriter w;
-  w.WriteU64(buffer_id);
-  w.WriteBool(reserve);
-  w.WriteU32(static_cast<std::uint32_t>(regions.size()));
-  for (const MemoryRegion& region : regions) {
-    w.WriteU64(region.offset);
-    w.WriteU64(region.size);
-  }
-  return std::move(w).Take();
-}
-
-Expected<MemoryNoticeRequest> MemoryNoticeRequest::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  MemoryNoticeRequest out;
-  auto id = r.ReadU64();
-  auto reserve = r.ReadBool();
-  auto count = r.ReadU32();
-  if (!id.ok() || !reserve.ok() || !count.ok()) {
-    return Malformed("MemoryNotice");
-  }
-  out.buffer_id = *id;
-  out.reserve = *reserve;
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto offset = r.ReadU64();
-    auto size = r.ReadU64();
-    if (!offset.ok() || !size.ok()) return Malformed("MemoryNotice");
-    out.regions.push_back({*offset, *size});
-  }
-  return out;
+HAOCL_WIRE_FIELDS(MemoryNoticeRequest) {
+  io(m.buffer_id, m.reserve, m.regions);
 }
 
 // ----------------------------------------------------------------- Programs
 
-std::vector<std::uint8_t> BuildProgramRequest::Encode() const {
-  WireWriter w(16 + source.size());
-  w.WriteU64(program_id);
-  w.WriteString(source);
-  return std::move(w).Take();
+HAOCL_WIRE_FIELDS(BuildProgramRequest) { io(m.program_id, m.source); }
+
+HAOCL_WIRE_FIELDS(BuildProgramReply) {
+  io(m.status_code, m.build_log, m.kernel_names);
 }
 
-Expected<BuildProgramRequest> BuildProgramRequest::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  BuildProgramRequest out;
-  auto id = r.ReadU64();
-  auto source = r.ReadString();
-  if (!id.ok() || !source.ok()) return Malformed("BuildProgram");
-  out.program_id = *id;
-  out.source = *std::move(source);
-  return out;
-}
-
-std::vector<std::uint8_t> BuildProgramReply::Encode() const {
-  WireWriter w;
-  w.WriteI32(status_code);
-  w.WriteString(build_log);
-  w.WriteU32(static_cast<std::uint32_t>(kernel_names.size()));
-  for (const std::string& name : kernel_names) w.WriteString(name);
-  return std::move(w).Take();
-}
-
-Expected<BuildProgramReply> BuildProgramReply::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  BuildProgramReply out;
-  auto code = r.ReadI32();
-  auto log = r.ReadString();
-  auto count = r.ReadU32();
-  if (!code.ok() || !log.ok() || !count.ok()) return Malformed("BuildReply");
-  out.status_code = *code;
-  out.build_log = *std::move(log);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto name = r.ReadString();
-    if (!name.ok()) return Malformed("BuildReply");
-    out.kernel_names.push_back(*std::move(name));
-  }
-  return out;
-}
-
-std::vector<std::uint8_t> ReleaseProgramRequest::Encode() const {
-  WireWriter w;
-  w.WriteU64(program_id);
-  return std::move(w).Take();
-}
-
-Expected<ReleaseProgramRequest> ReleaseProgramRequest::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  ReleaseProgramRequest out;
-  auto id = r.ReadU64();
-  if (!id.ok()) return Malformed("ReleaseProgram");
-  out.program_id = *id;
-  return out;
-}
+HAOCL_WIRE_FIELDS(ReleaseProgramRequest) { io(m.program_id); }
 
 // ------------------------------------------------------------------ Kernels
 
-std::vector<std::uint8_t> LaunchKernelRequest::Encode() const {
-  WireWriter w;
-  w.WriteU64(program_id);
-  w.WriteString(kernel_name);
-  w.WriteU32(static_cast<std::uint32_t>(args.size()));
-  for (const WireKernelArg& arg : args) {
-    w.WriteU8(static_cast<std::uint8_t>(arg.kind));
-    switch (arg.kind) {
-      case WireKernelArg::Kind::kBuffer:
-        w.WriteU64(arg.buffer_id);
-        w.WriteU64(arg.written_begin);
-        w.WriteU64(arg.written_end);
-        break;
-      case WireKernelArg::Kind::kScalar:
-        w.WriteByteVector(arg.scalar_bytes);
-        break;
-      case WireKernelArg::Kind::kLocalSize:
-        w.WriteU64(arg.local_size);
-        break;
-    }
+HAOCL_WIRE_FIELDS(LaunchKernelRequest) {
+  io(m.program_id, m.kernel_name, m.args, m.work_dim, m.global, m.local,
+     m.global_offset, m.local_specified, m.has_cost_hint);
+  if (m.has_cost_hint) {
+    io(m.hint_flops, m.hint_bytes, m.hint_work_items, m.hint_irregular);
   }
-  w.WriteU32(work_dim);
-  for (int d = 0; d < 3; ++d) w.WriteU64(global[d]);
-  for (int d = 0; d < 3; ++d) w.WriteU64(local[d]);
-  for (int d = 0; d < 3; ++d) w.WriteU64(global_offset[d]);
-  w.WriteBool(local_specified);
-  w.WriteBool(has_cost_hint);
-  if (has_cost_hint) {
-    w.WriteF64(hint_flops);
-    w.WriteF64(hint_bytes);
-    w.WriteU64(hint_work_items);
-    w.WriteBool(hint_irregular);
-  }
-  w.WriteU64(elastic_launch_id);
-  w.WriteU64(elastic_chunk_id);
-  return std::move(w).Take();
+  io(m.elastic_launch_id, m.elastic_chunk_id);
 }
 
-Expected<LaunchKernelRequest> LaunchKernelRequest::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  LaunchKernelRequest out;
-  auto program = r.ReadU64();
-  auto name = r.ReadString();
-  auto argc = r.ReadU32();
-  if (!program.ok() || !name.ok() || !argc.ok()) {
-    return Malformed("LaunchKernel");
-  }
-  out.program_id = *program;
-  out.kernel_name = *std::move(name);
-  for (std::uint32_t i = 0; i < *argc; ++i) {
-    auto kind = r.ReadU8();
-    if (!kind.ok() || *kind > 2) return Malformed("LaunchKernel arg");
-    WireKernelArg arg;
-    arg.kind = static_cast<WireKernelArg::Kind>(*kind);
-    switch (arg.kind) {
-      case WireKernelArg::Kind::kBuffer: {
-        auto id = r.ReadU64();
-        auto wbegin = r.ReadU64();
-        auto wend = r.ReadU64();
-        if (!id.ok() || !wbegin.ok() || !wend.ok()) {
-          return Malformed("LaunchKernel arg");
-        }
-        arg.buffer_id = *id;
-        arg.written_begin = *wbegin;
-        arg.written_end = *wend;
-        break;
-      }
-      case WireKernelArg::Kind::kScalar: {
-        auto data = r.ReadByteVector();
-        if (!data.ok()) return Malformed("LaunchKernel arg");
-        arg.scalar_bytes = *std::move(data);
-        break;
-      }
-      case WireKernelArg::Kind::kLocalSize: {
-        auto size = r.ReadU64();
-        if (!size.ok()) return Malformed("LaunchKernel arg");
-        arg.local_size = *size;
-        break;
-      }
-    }
-    out.args.push_back(std::move(arg));
-  }
-  auto dim = r.ReadU32();
-  if (!dim.ok()) return Malformed("LaunchKernel range");
-  out.work_dim = *dim;
-  for (int d = 0; d < 3; ++d) {
-    auto g = r.ReadU64();
-    if (!g.ok()) return Malformed("LaunchKernel range");
-    out.global[d] = *g;
-  }
-  for (int d = 0; d < 3; ++d) {
-    auto l = r.ReadU64();
-    if (!l.ok()) return Malformed("LaunchKernel range");
-    out.local[d] = *l;
-  }
-  for (int d = 0; d < 3; ++d) {
-    auto o = r.ReadU64();
-    if (!o.ok()) return Malformed("LaunchKernel range");
-    out.global_offset[d] = *o;
-  }
-  auto spec = r.ReadBool();
-  if (!spec.ok()) return Malformed("LaunchKernel range");
-  out.local_specified = *spec;
-  auto has_hint = r.ReadBool();
-  if (!has_hint.ok()) return Malformed("LaunchKernel hint");
-  out.has_cost_hint = *has_hint;
-  if (out.has_cost_hint) {
-    auto flops = r.ReadF64();
-    auto bytes = r.ReadF64();
-    auto items = r.ReadU64();
-    auto irregular = r.ReadBool();
-    if (!flops.ok() || !bytes.ok() || !items.ok() || !irregular.ok()) {
-      return Malformed("LaunchKernel hint");
-    }
-    out.hint_flops = *flops;
-    out.hint_bytes = *bytes;
-    out.hint_work_items = *items;
-    out.hint_irregular = *irregular;
-  }
-  auto elastic_launch = r.ReadU64();
-  auto elastic_chunk = r.ReadU64();
-  if (!elastic_launch.ok() || !elastic_chunk.ok()) {
-    return Malformed("LaunchKernel elastic tag");
-  }
-  out.elastic_launch_id = *elastic_launch;
-  out.elastic_chunk_id = *elastic_chunk;
-  return out;
+HAOCL_WIRE_FIELDS(LaunchKernelReply) {
+  io(m.status_code, m.error_message, m.modeled_seconds, m.modeled_joules,
+     m.flops, m.bytes_accessed, m.node_backlog_seconds, m.active_weight);
 }
 
-std::vector<std::uint8_t> LaunchKernelReply::Encode() const {
-  WireWriter w;
-  w.WriteI32(status_code);
-  w.WriteString(error_message);
-  w.WriteF64(modeled_seconds);
-  w.WriteF64(modeled_joules);
-  w.WriteU64(flops);
-  w.WriteU64(bytes_accessed);
-  w.WriteF64(node_backlog_seconds);
-  w.WriteF64(active_weight);
-  return std::move(w).Take();
-}
-
-Expected<LaunchKernelReply> LaunchKernelReply::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  LaunchKernelReply out;
-  auto code = r.ReadI32();
-  auto message = r.ReadString();
-  auto seconds = r.ReadF64();
-  auto joules = r.ReadF64();
-  auto flops = r.ReadU64();
-  auto accessed = r.ReadU64();
-  auto node_backlog = r.ReadF64();
-  auto active = r.ReadF64();
-  if (!code.ok() || !message.ok() || !seconds.ok() || !joules.ok() ||
-      !flops.ok() || !accessed.ok() || !node_backlog.ok() || !active.ok()) {
-    return Malformed("LaunchReply");
-  }
-  out.status_code = *code;
-  out.error_message = *std::move(message);
-  out.modeled_seconds = *seconds;
-  out.modeled_joules = *joules;
-  out.flops = *flops;
-  out.bytes_accessed = *accessed;
-  out.node_backlog_seconds = *node_backlog;
-  out.active_weight = *active;
-  return out;
-}
-
-std::vector<std::uint8_t> RevokeChunkRequest::Encode() const {
-  WireWriter w;
-  w.WriteU64(launch_id);
-  w.WriteU32(static_cast<std::uint32_t>(chunk_ids.size()));
-  for (std::uint64_t id : chunk_ids) w.WriteU64(id);
-  return std::move(w).Take();
-}
-
-Expected<RevokeChunkRequest> RevokeChunkRequest::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  RevokeChunkRequest out;
-  auto launch = r.ReadU64();
-  auto count = r.ReadU32();
-  if (!launch.ok() || !count.ok()) return Malformed("RevokeChunk");
-  out.launch_id = *launch;
-  out.chunk_ids.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto id = r.ReadU64();
-    if (!id.ok()) return Malformed("RevokeChunk");
-    out.chunk_ids.push_back(*id);
-  }
-  return out;
-}
+HAOCL_WIRE_FIELDS(RevokeChunkRequest) { io(m.launch_id, m.chunk_ids); }
 
 // --------------------------------------------------------------- Monitoring
 
-namespace {
-
-void EncodeKernelRates(WireWriter& w,
-                       const std::vector<WireKernelRate>& rates) {
-  w.WriteU32(static_cast<std::uint32_t>(rates.size()));
-  for (const WireKernelRate& rate : rates) {
-    w.WriteString(rate.kernel);
-    w.WriteF64(rate.seconds_per_flop);
-    w.WriteU64(rate.samples);
-  }
-}
-
-Expected<std::vector<WireKernelRate>> DecodeKernelRates(WireReader& r) {
-  auto count = r.ReadU32();
-  if (!count.ok()) return Malformed("kernel rates");
-  std::vector<WireKernelRate> rates;
-  rates.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto kernel = r.ReadString();
-    auto rate = r.ReadF64();
-    auto samples = r.ReadU64();
-    if (!kernel.ok() || !rate.ok() || !samples.ok()) {
-      return Malformed("kernel rate entry");
-    }
-    rates.push_back({*std::move(kernel), *rate, *samples});
-  }
-  return rates;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> LoadReply::Encode() const {
-  WireWriter w;
-  w.WriteU32(queue_depth);
-  w.WriteU64(buffers_held);
-  w.WriteU64(bytes_allocated);
-  w.WriteU64(bytes_resident);
-  w.WriteU64(mem_capacity_bytes);
-  w.WriteF64(busy_seconds_total);
-  w.WriteU64(kernels_executed);
-  w.WriteU64(node_resident_bytes);
-  w.WriteF64(node_backlog_seconds);
-  w.WriteF64(tenant_backlog_seconds);
-  w.WriteF64(active_weight);
-  EncodeKernelRates(w, kernel_rates);
-  return std::move(w).Take();
-}
-
-Expected<LoadReply> LoadReply::Decode(const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  LoadReply out;
-  auto depth = r.ReadU32();
-  auto buffers = r.ReadU64();
-  auto alloc = r.ReadU64();
-  auto resident = r.ReadU64();
-  auto capacity = r.ReadU64();
-  auto busy = r.ReadF64();
-  auto kernels = r.ReadU64();
-  auto node_resident = r.ReadU64();
-  auto node_backlog = r.ReadF64();
-  auto tenant_backlog = r.ReadF64();
-  auto active = r.ReadF64();
-  if (!depth.ok() || !buffers.ok() || !alloc.ok() || !resident.ok() ||
-      !capacity.ok() || !busy.ok() || !kernels.ok() || !node_resident.ok() ||
-      !node_backlog.ok() || !tenant_backlog.ok() || !active.ok()) {
-    return Malformed("LoadReply");
-  }
-  auto rates = DecodeKernelRates(r);
-  if (!rates.ok()) return rates.status();
-  out.queue_depth = *depth;
-  out.buffers_held = *buffers;
-  out.bytes_allocated = *alloc;
-  out.bytes_resident = *resident;
-  out.mem_capacity_bytes = *capacity;
-  out.busy_seconds_total = *busy;
-  out.kernels_executed = *kernels;
-  out.node_resident_bytes = *node_resident;
-  out.node_backlog_seconds = *node_backlog;
-  out.tenant_backlog_seconds = *tenant_backlog;
-  out.active_weight = *active;
-  out.kernel_rates = *std::move(rates);
-  return out;
+HAOCL_WIRE_FIELDS(LoadReply) {
+  io(m.queue_depth, m.buffers_held, m.bytes_allocated, m.bytes_resident,
+     m.mem_capacity_bytes, m.busy_seconds_total, m.kernels_executed,
+     m.node_resident_bytes, m.node_backlog_seconds, m.tenant_backlog_seconds,
+     m.active_weight, m.kernel_rates);
 }
 
 // ------------------------------------------------------------ Multi-tenancy
 
-std::vector<std::uint8_t> ConfigureSessionRequest::Encode() const {
-  WireWriter w;
-  w.WriteString(tenant_name);
-  w.WriteF64(weight);
-  w.WriteU64(mem_quota_bytes);
-  return std::move(w).Take();
+HAOCL_WIRE_FIELDS(ConfigureSessionRequest) {
+  io(m.tenant_name, m.weight, m.mem_quota_bytes);
 }
 
-Expected<ConfigureSessionRequest> ConfigureSessionRequest::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  ConfigureSessionRequest out;
-  auto name = r.ReadString();
-  auto weight = r.ReadF64();
-  auto quota = r.ReadU64();
-  if (!name.ok() || !weight.ok() || !quota.ok()) {
-    return Malformed("ConfigureSession");
-  }
-  out.tenant_name = *std::move(name);
-  out.weight = *weight;
-  out.mem_quota_bytes = *quota;
-  return out;
-}
-
-std::vector<std::uint8_t> BrokerStatsReply::Encode() const {
-  WireWriter w;
-  w.WriteU64(mem_capacity_bytes);
-  w.WriteU64(resident_bytes);
-  w.WriteF64(backlog_seconds);
-  w.WriteF64(active_weight);
-  w.WriteF64(max_backlog_seconds);
-  w.WriteU32(static_cast<std::uint32_t>(tenants.size()));
-  for (const BrokerTenantEntry& t : tenants) {
-    w.WriteU64(t.session);
-    w.WriteString(t.name);
-    w.WriteF64(t.weight);
-    w.WriteU64(t.mem_quota_bytes);
-    w.WriteU64(t.resident_bytes);
-    w.WriteF64(t.backlog_seconds);
-    w.WriteF64(t.served_seconds);
-    w.WriteU64(t.launches_admitted);
-    w.WriteU64(t.launches_rejected);
-    w.WriteU64(t.kernels_completed);
-  }
-  EncodeKernelRates(w, kernel_rates);
-  return std::move(w).Take();
-}
-
-Expected<BrokerStatsReply> BrokerStatsReply::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  BrokerStatsReply out;
-  auto capacity = r.ReadU64();
-  auto resident = r.ReadU64();
-  auto backlog = r.ReadF64();
-  auto active = r.ReadF64();
-  auto limit = r.ReadF64();
-  auto count = r.ReadU32();
-  if (!capacity.ok() || !resident.ok() || !backlog.ok() || !active.ok() ||
-      !limit.ok() || !count.ok()) {
-    return Malformed("BrokerStats");
-  }
-  out.mem_capacity_bytes = *capacity;
-  out.resident_bytes = *resident;
-  out.backlog_seconds = *backlog;
-  out.active_weight = *active;
-  out.max_backlog_seconds = *limit;
-  out.tenants.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    BrokerTenantEntry t;
-    auto session = r.ReadU64();
-    auto name = r.ReadString();
-    auto weight = r.ReadF64();
-    auto quota = r.ReadU64();
-    auto tenant_resident = r.ReadU64();
-    auto tenant_backlog = r.ReadF64();
-    auto served = r.ReadF64();
-    auto admitted = r.ReadU64();
-    auto rejected = r.ReadU64();
-    auto completed = r.ReadU64();
-    if (!session.ok() || !name.ok() || !weight.ok() || !quota.ok() ||
-        !tenant_resident.ok() || !tenant_backlog.ok() || !served.ok() ||
-        !admitted.ok() || !rejected.ok() || !completed.ok()) {
-      return Malformed("BrokerStats tenant");
-    }
-    t.session = *session;
-    t.name = *std::move(name);
-    t.weight = *weight;
-    t.mem_quota_bytes = *quota;
-    t.resident_bytes = *tenant_resident;
-    t.backlog_seconds = *tenant_backlog;
-    t.served_seconds = *served;
-    t.launches_admitted = *admitted;
-    t.launches_rejected = *rejected;
-    t.kernels_completed = *completed;
-    out.tenants.push_back(std::move(t));
-  }
-  auto rates = DecodeKernelRates(r);
-  if (!rates.ok()) return rates.status();
-  out.kernel_rates = *std::move(rates);
-  return out;
+HAOCL_WIRE_FIELDS(BrokerStatsReply) {
+  io(m.mem_capacity_bytes, m.resident_bytes, m.backlog_seconds,
+     m.active_weight, m.max_backlog_seconds, m.tenants, m.kernel_rates);
 }
 
 // ------------------------------------------------------------ Status replies
 
-std::vector<std::uint8_t> StatusReply::Encode() const {
-  WireWriter w;
-  w.WriteI32(status_code);
-  w.WriteString(message);
-  return std::move(w).Take();
-}
-
-Expected<StatusReply> StatusReply::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  WireReader r(bytes);
-  StatusReply out;
-  auto code = r.ReadI32();
-  auto message = r.ReadString();
-  if (!code.ok() || !message.ok()) return Malformed("StatusReply");
-  out.status_code = *code;
-  out.message = *std::move(message);
-  return out;
-}
+HAOCL_WIRE_FIELDS(StatusReply) { io(m.status_code, m.message); }
 
 }  // namespace haocl::net

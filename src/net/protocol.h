@@ -1,6 +1,25 @@
-// Typed request/reply payloads of the host <-> NMP protocol, with wire
-// codecs. One struct per message type keeps the NMP's dispatch readable and
-// gives the fuzz/failure tests a precise surface.
+// Typed request/reply payloads of the host <-> NMP protocol. One struct per
+// message type keeps the NMP's dispatch readable and gives the fuzz/failure
+// tests a precise surface.
+//
+// The wire format of each message is written down once, as its field list
+// in protocol.cc: a `Fields(io, m)` template naming the fields in wire
+// order, with any conditional part (`if (m.has_cost_hint) io(...)`) spelled
+// out there. One generic encoder and one generic decoder run every list, so
+// adding a message takes three steps:
+//   1. declare the struct here with HAOCL_WIRE_MESSAGE(Type);
+//   2. write its field list in protocol.cc with HAOCL_WIRE_FIELDS(Type)
+//      (a new enum type also gets a LastValue overload there);
+//   3. add a populated sample and its bytes to tests/net/golden_messages.h.
+// The list alone gives Encode (sized exactly, one allocation), Decode
+// (bounds, enum ranges and every claimed count or length checked before
+// anything is allocated; kProtocolError naming the message on failure),
+// and the sample puts the decoder under the mutation fuzzer.
+//
+// Wire primitives: fixed-width little-endian scalars, bool as a u8 (any
+// nonzero byte reads as true), enums as their underlying type, strings and
+// lists behind a u32 length/count, byte vectors behind a u64 length, and
+// fixed arrays element by element. Decoders ignore trailing bytes.
 #pragma once
 
 #include <cstdint>
@@ -9,8 +28,13 @@
 
 #include "common/config.h"
 #include "common/status.h"
-#include "common/wire.h"
 #include "oclc/vm.h"
+
+// Declares a message's payload codec and its field-wise equality.
+#define HAOCL_WIRE_MESSAGE(Type)                                        \
+  [[nodiscard]] std::vector<std::uint8_t> Encode() const;               \
+  static Expected<Type> Decode(const std::vector<std::uint8_t>& bytes); \
+  bool operator==(const Type&) const = default
 
 namespace haocl::net {
 
@@ -20,8 +44,7 @@ struct HelloRequest {
   std::string host_name;
   std::uint32_t protocol_version = 1;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<HelloRequest> Decode(const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(HelloRequest);
 };
 
 struct HelloReply {
@@ -38,8 +61,7 @@ struct HelloReply {
   std::uint32_t simd_width = 1;
   std::uint32_t protocol_version = 1;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<HelloReply> Decode(const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(HelloReply);
 };
 
 // ------------------------------------------------------------------ Buffers
@@ -48,9 +70,7 @@ struct CreateBufferRequest {
   std::uint64_t buffer_id = 0;
   std::uint64_t size = 0;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<CreateBufferRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(CreateBufferRequest);
 };
 
 struct WriteBufferRequest {
@@ -58,9 +78,7 @@ struct WriteBufferRequest {
   std::uint64_t offset = 0;
   std::vector<std::uint8_t> data;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<WriteBufferRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(WriteBufferRequest);
 };
 
 struct ReadBufferRequest {
@@ -68,17 +86,13 @@ struct ReadBufferRequest {
   std::uint64_t offset = 0;
   std::uint64_t size = 0;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<ReadBufferRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(ReadBufferRequest);
 };
 
 struct ReleaseBufferRequest {
   std::uint64_t buffer_id = 0;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<ReleaseBufferRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(ReleaseBufferRequest);
 };
 
 struct CopyBufferRequest {
@@ -88,9 +102,7 @@ struct CopyBufferRequest {
   std::uint64_t dst_offset = 0;
   std::uint64_t size = 0;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<CopyBufferRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(CopyBufferRequest);
 };
 
 // ------------------------------------------------- Node-to-node exchange
@@ -105,9 +117,7 @@ struct PullSliceRequest {
   std::uint64_t size = 0;
   std::uint32_t source_node = 0;  // Host-assigned peer index.
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<PullSliceRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(PullSliceRequest);
 };
 
 // Host -> node: send [offset, offset+size) of the local replica of
@@ -119,9 +129,7 @@ struct PushSliceRequest {
   std::uint64_t size = 0;
   std::uint32_t target_node = 0;  // Host-assigned peer index.
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<PushSliceRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(PushSliceRequest);
 };
 
 // ------------------------------------------------------------ Memory notices
@@ -130,6 +138,8 @@ struct PushSliceRequest {
 struct MemoryRegion {
   std::uint64_t offset = 0;
   std::uint64_t size = 0;
+
+  bool operator==(const MemoryRegion&) const = default;
 };
 
 // Host -> node: align the node's memory-pool ledger with the host's
@@ -143,9 +153,7 @@ struct MemoryNoticeRequest {
   bool reserve = false;
   std::vector<MemoryRegion> regions;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<MemoryNoticeRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(MemoryNoticeRequest);
 };
 
 // ----------------------------------------------------------------- Programs
@@ -154,9 +162,7 @@ struct BuildProgramRequest {
   std::uint64_t program_id = 0;
   std::string source;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<BuildProgramRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(BuildProgramRequest);
 };
 
 struct BuildProgramReply {
@@ -164,17 +170,13 @@ struct BuildProgramReply {
   std::string build_log;
   std::vector<std::string> kernel_names;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<BuildProgramReply> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(BuildProgramReply);
 };
 
 struct ReleaseProgramRequest {
   std::uint64_t program_id = 0;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<ReleaseProgramRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(ReleaseProgramRequest);
 };
 
 // ------------------------------------------------------------------ Kernels
@@ -193,6 +195,8 @@ struct WireKernelArg {
   // the same range the host charges in its per-node ledger.
   std::uint64_t written_begin = 0;            // kBuffer
   std::uint64_t written_end = 0;              // kBuffer
+
+  bool operator==(const WireKernelArg&) const = default;
 };
 
 struct LaunchKernelRequest {
@@ -225,9 +229,7 @@ struct LaunchKernelRequest {
   std::uint64_t elastic_launch_id = 0;
   std::uint64_t elastic_chunk_id = 0;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<LaunchKernelRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(LaunchKernelRequest);
 };
 
 struct LaunchKernelReply {
@@ -243,9 +245,7 @@ struct LaunchKernelReply {
   double node_backlog_seconds = 0.0;  // Admitted-but-unfinished, all tenants.
   double active_weight = 0.0;         // Σ weights of backlogged tenants.
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<LaunchKernelReply> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(LaunchKernelReply);
 };
 
 // Host -> node: the steal coordinator re-targeted these chunks of an
@@ -257,9 +257,7 @@ struct RevokeChunkRequest {
   std::uint64_t launch_id = 0;
   std::vector<std::uint64_t> chunk_ids;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<RevokeChunkRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(RevokeChunkRequest);
 };
 
 // --------------------------------------------------------------- Monitoring
@@ -272,6 +270,8 @@ struct WireKernelRate {
   std::string kernel;
   double seconds_per_flop = 0.0;
   std::uint64_t samples = 0;
+
+  bool operator==(const WireKernelRate&) const = default;
 };
 
 struct LoadReply {
@@ -292,8 +292,7 @@ struct LoadReply {
   double active_weight = 0.0;              // Σ weights, backlogged tenants.
   std::vector<WireKernelRate> kernel_rates;  // Shared observed rates.
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<LoadReply> Decode(const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(LoadReply);
 };
 
 // ------------------------------------------------------------ Multi-tenancy
@@ -306,9 +305,7 @@ struct ConfigureSessionRequest {
   double weight = 1.0;
   std::uint64_t mem_quota_bytes = 0;  // 0 = no per-tenant cap.
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<ConfigureSessionRequest> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(ConfigureSessionRequest);
 };
 
 // One tenant's serving stats in a BrokerStatsReply.
@@ -323,6 +320,8 @@ struct BrokerTenantEntry {
   std::uint64_t launches_admitted = 0;
   std::uint64_t launches_rejected = 0;
   std::uint64_t kernels_completed = 0;
+
+  bool operator==(const BrokerTenantEntry&) const = default;
 };
 
 // Reply to kQueryBroker: the node's shared ledger, admission state,
@@ -336,9 +335,7 @@ struct BrokerStatsReply {
   std::vector<BrokerTenantEntry> tenants;
   std::vector<WireKernelRate> kernel_rates;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<BrokerStatsReply> Decode(
-      const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(BrokerStatsReply);
 };
 
 // ------------------------------------------------------------ Status replies
@@ -348,8 +345,7 @@ struct StatusReply {
   std::int32_t status_code = 0;
   std::string message;
 
-  [[nodiscard]] std::vector<std::uint8_t> Encode() const;
-  static Expected<StatusReply> Decode(const std::vector<std::uint8_t>& bytes);
+  HAOCL_WIRE_MESSAGE(StatusReply);
 
   static StatusReply FromStatus(const Status& status) {
     return StatusReply{static_cast<std::int32_t>(status.code()),

@@ -1,5 +1,7 @@
 #include "nmp/node_server.h"
 
+#include <optional>
+
 #include "common/log.h"
 #include "driver/icd.h"
 #include "net/protocol.h"
@@ -121,61 +123,61 @@ runtime::DeviceSession& NodeServer::SessionFor(std::uint64_t session_id) {
   return *slot;
 }
 
-Message NodeServer::HandleControlMessage(const Message& request) {
+namespace {
+
+Message Reply(MsgType type, std::vector<std::uint8_t> payload) {
   Message reply;
-  reply.type = MsgType::kStatusReply;
+  reply.type = type;
+  reply.payload = std::move(payload);
+  return reply;
+}
+
+Message StatusMessage(const Status& status) {
+  return Reply(MsgType::kStatusReply,
+               net::StatusReply::FromStatus(status).Encode());
+}
+
+// Decodes the request payload as T. A malformed payload is logged and
+// `reply` becomes its protocol-error status; the caller sends only that.
+template <typename T>
+std::optional<T> DecodeOrReply(const std::string& node, const Message& request,
+                               Message& reply) {
+  auto decoded = T::Decode(request.payload);
+  if (decoded.ok()) return *std::move(decoded);
+  HAOCL_WARN << "NMP " << node << ": " << decoded.status().ToString();
+  reply = StatusMessage(decoded.status());
+  return std::nullopt;
+}
+
+}  // namespace
+
+Message NodeServer::HandleControlMessage(const Message& request) {
+  Message reply = StatusMessage(Status::Ok());
   switch (request.type) {
-    case MsgType::kHeartbeat: {
-      // Liveness only: answering at all is the signal.
-      reply.payload = net::StatusReply::FromStatus(Status::Ok()).Encode();
-      break;
-    }
-    case MsgType::kRevokeChunk: {
-      auto decoded = net::RevokeChunkRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        reply.payload = net::StatusReply::FromStatus(decoded.status()).Encode();
-        break;
+    case MsgType::kHeartbeat:
+      break;  // Liveness only: answering at all is the signal.
+    case MsgType::kRevokeChunk:
+      if (auto r = DecodeOrReply<net::RevokeChunkRequest>(name_, request,
+                                                          reply)) {
+        SessionFor(request.session).RevokeChunks(r->launch_id, r->chunk_ids);
       }
-      SessionFor(request.session)
-          .RevokeChunks(decoded->launch_id, decoded->chunk_ids);
-      reply.payload = net::StatusReply::FromStatus(Status::Ok()).Encode();
       break;
-    }
-    default: {
-      reply.payload =
-          net::StatusReply::FromStatus(
-              Status(ErrorCode::kProtocolError,
-                     std::string("not a control message: ") +
-                         net::MsgTypeName(request.type)))
-              .Encode();
+    default:
+      reply = StatusMessage(Status(ErrorCode::kProtocolError,
+                                   std::string("not a control message: ") +
+                                       net::MsgTypeName(request.type)));
       break;
-    }
   }
   return reply;
 }
 
 Message NodeServer::HandleMessage(const Message& request) {
   Message reply;
-  reply.type = MsgType::kStatusReply;
-
-  auto status_reply = [&reply](const Status& status) {
-    reply.type = MsgType::kStatusReply;
-    reply.payload = net::StatusReply::FromStatus(status).Encode();
-  };
-  auto protocol_error = [&](const Status& status) {
-    HAOCL_WARN << "NMP " << name_ << ": " << status.ToString();
-    status_reply(status);
-  };
-
   runtime::DeviceSession& session = SessionFor(request.session);
 
   switch (request.type) {
     case MsgType::kHelloRequest: {
-      auto decoded = net::HelloRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
-      }
+      if (!DecodeOrReply<net::HelloRequest>(name_, request, reply)) break;
       net::HelloReply hello;
       hello.node_name = name_;
       hello.device_type = type_;
@@ -187,60 +189,39 @@ Message NodeServer::HandleMessage(const Message& request) {
                              ? static_cast<std::uint32_t>(
                                    driver_->spec().simd_width)
                              : 1;
-      reply.type = MsgType::kHelloReply;
-      reply.payload = hello.Encode();
+      reply = Reply(MsgType::kHelloReply, hello.Encode());
       break;
     }
-    case MsgType::kCreateBuffer: {
-      auto decoded = net::CreateBufferRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
+    case MsgType::kCreateBuffer:
+      if (auto r = DecodeOrReply<net::CreateBufferRequest>(name_, request,
+                                                           reply)) {
+        reply = StatusMessage(session.CreateBuffer(r->buffer_id, r->size));
       }
-      status_reply(session.CreateBuffer(decoded->buffer_id, decoded->size));
       break;
-    }
-    case MsgType::kWriteBuffer: {
-      auto decoded = net::WriteBufferRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
+    case MsgType::kWriteBuffer:
+      if (auto r = DecodeOrReply<net::WriteBufferRequest>(name_, request,
+                                                          reply)) {
+        reply = StatusMessage(
+            session.WriteBuffer(r->buffer_id, r->offset, r->data));
       }
-      status_reply(session.WriteBuffer(decoded->buffer_id, decoded->offset,
-                                       decoded->data));
       break;
-    }
-    case MsgType::kReadBuffer: {
-      auto decoded = net::ReadBufferRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
+    case MsgType::kReadBuffer:
+      if (auto r = DecodeOrReply<net::ReadBufferRequest>(name_, request,
+                                                         reply)) {
+        auto data = session.ReadBuffer(r->buffer_id, r->offset, r->size);
+        reply = data.ok() ? Reply(MsgType::kReadReply, *std::move(data))
+                          : StatusMessage(data.status());
       }
-      auto data = session.ReadBuffer(decoded->buffer_id, decoded->offset,
-                                     decoded->size);
-      if (!data.ok()) {
-        status_reply(data.status());
-        break;
-      }
-      reply.type = MsgType::kReadReply;
-      reply.payload = *std::move(data);
       break;
-    }
-    case MsgType::kCopyBuffer: {
-      auto decoded = net::CopyBufferRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
+    case MsgType::kCopyBuffer:
+      if (auto r = DecodeOrReply<net::CopyBufferRequest>(name_, request,
+                                                         reply)) {
+        reply = StatusMessage(session.CopyBuffer(*r));
       }
-      status_reply(session.CopyBuffer(*decoded));
       break;
-    }
     case MsgType::kPullSlice: {
-      auto decoded = net::PullSliceRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
-      }
+      auto r = DecodeOrReply<net::PullSliceRequest>(name_, request, reply);
+      if (!r) break;
       // The fetch reuses the ordinary ReadBuffer protocol against the peer,
       // carrying the requesting session id so the peer resolves the same
       // logical buffer namespace.
@@ -276,15 +257,12 @@ Message NodeServer::HandleMessage(const Message& request) {
         }
         return std::move(reply->payload);
       };
-      status_reply(session.PullSlice(*decoded, fetch));
+      reply = StatusMessage(session.PullSlice(*r, fetch));
       break;
     }
     case MsgType::kPushSlice: {
-      auto decoded = net::PushSliceRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
-      }
+      auto r = DecodeOrReply<net::PushSliceRequest>(name_, request, reply);
+      if (!r) break;
       const std::uint64_t session_id = request.session;
       auto store = [this, session_id](std::uint32_t peer,
                                       std::uint64_t buffer_id,
@@ -307,53 +285,38 @@ Message NodeServer::HandleMessage(const Message& request) {
         if (!status.ok()) return status.status();
         return status->ToStatus();
       };
-      status_reply(session.PushSlice(*decoded, store));
+      reply = StatusMessage(session.PushSlice(*r, store));
       break;
     }
-    case MsgType::kMemoryNotice: {
-      auto decoded = net::MemoryNoticeRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
+    case MsgType::kMemoryNotice:
+      if (auto r = DecodeOrReply<net::MemoryNoticeRequest>(name_, request,
+                                                           reply)) {
+        reply = StatusMessage(session.MemoryNotice(*r));
       }
-      status_reply(session.MemoryNotice(*decoded));
       break;
-    }
-    case MsgType::kReleaseBuffer: {
-      auto decoded = net::ReleaseBufferRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
+    case MsgType::kReleaseBuffer:
+      if (auto r = DecodeOrReply<net::ReleaseBufferRequest>(name_, request,
+                                                            reply)) {
+        reply = StatusMessage(session.ReleaseBuffer(r->buffer_id));
       }
-      status_reply(session.ReleaseBuffer(decoded->buffer_id));
       break;
-    }
-    case MsgType::kBuildProgram: {
-      auto decoded = net::BuildProgramRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
+    case MsgType::kBuildProgram:
+      if (auto r = DecodeOrReply<net::BuildProgramRequest>(name_, request,
+                                                           reply)) {
+        reply = Reply(MsgType::kBuildReply,
+                      session.BuildProgram(r->program_id, r->source).Encode());
       }
-      reply.type = MsgType::kBuildReply;
-      reply.payload =
-          session.BuildProgram(decoded->program_id, decoded->source).Encode();
       break;
-    }
-    case MsgType::kReleaseProgram: {
-      auto decoded = net::ReleaseProgramRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
+    case MsgType::kReleaseProgram:
+      if (auto r = DecodeOrReply<net::ReleaseProgramRequest>(name_, request,
+                                                             reply)) {
+        reply = StatusMessage(session.ReleaseProgram(r->program_id));
       }
-      status_reply(session.ReleaseProgram(decoded->program_id));
       break;
-    }
     case MsgType::kLaunchKernel: {
-      auto decoded = net::LaunchKernelRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
-      }
+      auto decoded =
+          DecodeOrReply<net::LaunchKernelRequest>(name_, request, reply);
+      if (!decoded) break;
       // Every launch passes through the broker gate: admission control
       // may reject it (kBackpressure travels back as an ordinary launch
       // reply), and weighted fair queuing decides when an admitted launch
@@ -383,8 +346,7 @@ Message NodeServer::HandleMessage(const Message& request) {
       }
       launch.node_backlog_seconds = broker_.backlog_seconds();
       launch.active_weight = broker_.active_weight();
-      reply.type = MsgType::kLaunchReply;
-      reply.payload = launch.Encode();
+      reply = Reply(MsgType::kLaunchReply, launch.Encode());
       break;
     }
     case MsgType::kQueryLoad: {
@@ -399,24 +361,20 @@ Message NodeServer::HandleMessage(const Message& request) {
         load.kernel_rates.push_back(
             {rate.kernel, rate.seconds_per_flop, rate.samples});
       }
-      reply.type = MsgType::kLoadReply;
-      reply.payload = load.Encode();
+      reply = Reply(MsgType::kLoadReply, load.Encode());
       break;
     }
-    case MsgType::kConfigureSession: {
-      auto decoded = net::ConfigureSessionRequest::Decode(request.payload);
-      if (!decoded.ok()) {
-        protocol_error(decoded.status());
-        break;
+    case MsgType::kConfigureSession:
+      if (auto r = DecodeOrReply<net::ConfigureSessionRequest>(name_, request,
+                                                               reply)) {
+        broker::TenantConfig config;
+        config.name = r->tenant_name;
+        config.weight = r->weight;
+        config.mem_quota_bytes = r->mem_quota_bytes;
+        broker_.RegisterTenant(request.session, std::move(config));
+        reply = StatusMessage(Status::Ok());
       }
-      broker::TenantConfig config;
-      config.name = decoded->tenant_name;
-      config.weight = decoded->weight;
-      config.mem_quota_bytes = decoded->mem_quota_bytes;
-      broker_.RegisterTenant(request.session, std::move(config));
-      status_reply(Status::Ok());
       break;
-    }
     case MsgType::kQueryBroker: {
       net::BrokerStatsReply stats;
       stats.mem_capacity_bytes = broker_.capacity();
@@ -442,8 +400,7 @@ Message NodeServer::HandleMessage(const Message& request) {
         stats.kernel_rates.push_back(
             {rate.kernel, rate.seconds_per_flop, rate.samples});
       }
-      reply.type = MsgType::kBrokerReply;
-      reply.payload = stats.Encode();
+      reply = Reply(MsgType::kBrokerReply, stats.Encode());
       break;
     }
     case MsgType::kOpenSession:
@@ -458,14 +415,17 @@ Message NodeServer::HandleMessage(const Message& request) {
         // remaining tenants.
         broker_.UnregisterTenant(request.session);
       }
-      status_reply(Status::Ok());
+      reply = StatusMessage(Status::Ok());
       break;
     }
-    default:
-      protocol_error(Status(ErrorCode::kProtocolError,
-                            std::string("unexpected message type ") +
-                                net::MsgTypeName(request.type)));
+    default: {
+      Status error(ErrorCode::kProtocolError,
+                   std::string("unexpected message type ") +
+                       net::MsgTypeName(request.type));
+      HAOCL_WARN << "NMP " << name_ << ": " << error.ToString();
+      reply = StatusMessage(error);
       break;
+    }
   }
   return reply;
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "golden_messages.h"
 #include "net/protocol.h"
 
 namespace haocl::net {
@@ -230,6 +231,85 @@ TEST(ProtocolTest, TruncatedPayloadsRejected) {
     EXPECT_FALSE(LaunchKernelRequest::Decode(truncated).ok())
         << "cut=" << cut;
   }
+}
+
+// ----- Golden bytes ---------------------------------------------------------
+
+template <typename T>
+void ExpectEncodesToRecordedBytes(const golden::Sample<T>& sample) {
+  EXPECT_EQ(golden::ToHex(sample.value.Encode()), sample.hex) << sample.name;
+}
+
+TEST(ProtocolGoldenTest, EveryMessageEncodesToItsRecordedBytes) {
+  std::apply([](const auto&... s) { (ExpectEncodesToRecordedBytes(s), ...); },
+             golden::Samples());
+}
+
+template <typename T>
+void ExpectDecodesToSample(const golden::Sample<T>& sample) {
+  std::vector<std::uint8_t> bytes = golden::FromHex(sample.hex);
+  auto decoded = T::Decode(bytes);
+  ASSERT_TRUE(decoded.ok()) << sample.name << ": "
+                            << decoded.status().ToString();
+  EXPECT_TRUE(*decoded == sample.value) << sample.name;
+  // Trailing bytes are tolerated (room for fields appended later).
+  bytes.push_back(0xAB);
+  auto extended = T::Decode(bytes);
+  ASSERT_TRUE(extended.ok()) << sample.name;
+  EXPECT_TRUE(*extended == sample.value) << sample.name;
+}
+
+TEST(ProtocolGoldenTest, RecordedBytesDecodeToTheSample) {
+  std::apply([](const auto&... s) { (ExpectDecodesToSample(s), ...); },
+             golden::Samples());
+}
+
+TEST(ProtocolTest, AnyNonzeroBoolByteDecodesAsTrue) {
+  auto bytes = MemoryNoticeRequest{9, true, {}}.Encode();
+  bytes[8] = 0x80;  // The `reserve` flag follows the u64 buffer id.
+  auto decoded = MemoryNoticeRequest::Decode(bytes);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE(decoded->reserve);
+}
+
+TEST(ProtocolTest, OutOfRangeEnumsRejected) {
+  auto hello = HelloReply{}.Encode();
+  hello[4] = 3;  // device_type follows the empty node name's u32 length.
+  EXPECT_EQ(HelloReply::Decode(hello).code(), ErrorCode::kProtocolError);
+
+  LaunchKernelRequest launch;
+  launch.args.resize(1);
+  auto bytes = launch.Encode();
+  bytes[16] = 3;  // The first arg's kind: after program id, name, argc.
+  EXPECT_EQ(LaunchKernelRequest::Decode(bytes).code(),
+            ErrorCode::kProtocolError);
+}
+
+// Claimed counts and lengths are checked against the bytes actually left
+// before anything is allocated. Each payload here used to throw out of
+// Decode (std::bad_alloc, std::length_error) and abort the process.
+TEST(ProtocolTest, OversizedClaimsRejectedBeforeAllocating) {
+  // 12 bytes: a launch id, then 2^32-1 chunk ids.
+  const auto revoke = golden::FromHex("1500000000000000ffffffff");
+  EXPECT_EQ(RevokeChunkRequest::Decode(revoke).code(),
+            ErrorCode::kProtocolError);
+
+  // 56 bytes: buffer id, offset, then a data length that wraps the read
+  // position back inside the payload.
+  std::vector<std::uint8_t> write(56, 0);
+  for (int i = 16; i < 24; ++i) write[i] = 0xFF;
+  write[16] = 0xF0;  // 2^64 - 16.
+  EXPECT_EQ(WriteBufferRequest::Decode(write).code(),
+            ErrorCode::kProtocolError);
+
+  // A node reply claiming 2^32-1 broker tenants or kernel rates.
+  std::vector<std::uint8_t> broker(40, 0);  // Five scalar fields.
+  broker.insert(broker.end(), {0xFF, 0xFF, 0xFF, 0xFF});
+  EXPECT_EQ(BrokerStatsReply::Decode(broker).code(),
+            ErrorCode::kProtocolError);
+  std::vector<std::uint8_t> load(84, 0);  // Eleven scalar fields.
+  load.insert(load.end(), {0xFF, 0xFF, 0xFF, 0xFF});
+  EXPECT_EQ(LoadReply::Decode(load).code(), ErrorCode::kProtocolError);
 }
 
 TEST(ProtocolTest, StatusReplyConveysErrors) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "common/sync.h"
 #include "host/cluster_runtime.h"
 #include "net/protocol.h"
@@ -61,6 +64,38 @@ TEST_F(NodeServerTest, MalformedPayloadGetsProtocolError) {
   auto status = net::StatusReply::Decode(reply->payload);
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(status->ToStatus().code(), ErrorCode::kProtocolError);
+}
+
+// A payload whose claimed count or length dwarfs its real size once threw
+// out of the decoder and aborted the daemon. Each now gets a protocol
+// error, and the daemon keeps answering heartbeats.
+TEST_F(NodeServerTest, OversizedClaimsGetProtocolErrorAndDaemonSurvives) {
+  // 12 bytes: launch id 21, then a claim of 2^32-1 chunk ids.
+  std::vector<std::uint8_t> revoke(12, 0xFF);
+  std::fill(revoke.begin(), revoke.begin() + 8, 0);
+  revoke[0] = 21;
+  // 56 bytes: buffer id, offset, then a data length of 2^64-16, which wraps
+  // the read position back inside the payload.
+  std::vector<std::uint8_t> write(56, 0);
+  std::fill(write.begin() + 16, write.begin() + 24, 0xFF);
+  write[16] = 0xF0;
+  for (const auto& [type, payload] :
+       {std::pair{MsgType::kRevokeChunk, revoke},
+        std::pair{MsgType::kWriteBuffer, write}}) {
+    SCOPED_TRACE(net::MsgTypeName(type));
+    auto reply = client_->Call(type, 1, payload);
+    ASSERT_TRUE(reply.ok());
+    ASSERT_EQ(reply->type, MsgType::kStatusReply);
+    auto status = net::StatusReply::Decode(reply->payload);
+    ASSERT_TRUE(status.ok());
+    EXPECT_EQ(status->ToStatus().code(), ErrorCode::kProtocolError);
+
+    auto heartbeat = client_->Call(MsgType::kHeartbeat, 1, {});
+    ASSERT_TRUE(heartbeat.ok());
+    auto alive = net::StatusReply::Decode(heartbeat->payload);
+    ASSERT_TRUE(alive.ok());
+    EXPECT_TRUE(alive->ToStatus().ok());
+  }
 }
 
 TEST_F(NodeServerTest, UnknownMessageTypeRejected) {
