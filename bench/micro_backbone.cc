@@ -115,7 +115,7 @@ void BM_TcpLoopbackRoundTrip(benchmark::State& state) {
   (*server)->Close();
   listener.Stop();
 }
-BENCHMARK(BM_TcpLoopbackRoundTrip)->Arg(64)->Arg(64 << 10);
+BENCHMARK(BM_TcpLoopbackRoundTrip)->Arg(64)->Arg(64 << 10)->Arg(16 << 20);
 
 // Synchronous call chain vs pipelined async calls: the design choice the
 // paper makes differently for the host (sync) and nodes (async).

@@ -97,6 +97,19 @@ class Promise {
     return &*value_;
   }
 
+  // WaitFor for the promise's single consumer: moves the value out instead
+  // of handing back a reference, so a large reply is never copied. Empty on
+  // timeout. The promise stays set, so a later Set is still dropped (first
+  // writer wins); nothing may read the value after it is taken.
+  template <typename Rep, typename Period>
+  std::optional<T> TakeFor(std::chrono::duration<Rep, Period> timeout) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!cv_.wait_for(lock, timeout, [this] { return value_.has_value(); })) {
+      return std::nullopt;
+    }
+    return std::move(*value_);
+  }
+
   [[nodiscard]] bool Ready() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return value_.has_value();

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -116,15 +117,17 @@ class WireReader {
     return s;
   }
 
-  Expected<std::vector<std::uint8_t>> ReadByteVector() {
+  // A u64-length-prefixed byte string, as a view into the input (valid as
+  // long as the input is).
+  Expected<std::span<const std::uint8_t>> ReadByteSpan() {
     auto len = ReadU64();
     if (!len.ok()) return len.status();
     // Compared against what is left, never as pos_ + len: a hostile u64
     // length would wrap that sum.
     if (*len > remaining()) return Truncated("bytes");
-    std::vector<std::uint8_t> v(data_ + pos_, data_ + pos_ + *len);
+    std::span<const std::uint8_t> bytes(data_ + pos_, *len);
     pos_ += *len;
-    return v;
+    return bytes;
   }
 
   [[nodiscard]] std::size_t remaining() const noexcept { return size_ - pos_; }

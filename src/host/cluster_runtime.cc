@@ -225,12 +225,12 @@ Expected<Message> ClusterRuntime::CallNode(std::size_t node, MsgType type,
   InFlightGuard in_flight(this, node);
   auto future =
       nodes_[node]->CallAsync(type, options_.session_id, std::move(payload));
-  const auto* reply = future->WaitFor(options_.rpc_timeout);
-  if (reply == nullptr) {
+  auto reply = future->TakeFor(options_.rpc_timeout);
+  if (!reply.has_value()) {
     return Status(ErrorCode::kNetworkError,
                   std::string("RPC timeout for ") + net::MsgTypeName(type));
   }
-  return *reply;
+  return *std::move(reply);
 }
 
 // ---------------------------------------------------------- Hazard helpers

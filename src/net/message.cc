@@ -1,20 +1,28 @@
 #include "net/message.h"
 
+#include <cstring>
+
 #include "common/wire.h"
 
 namespace haocl::net {
 
-std::vector<std::uint8_t> Message::Serialize() const {
-  WireWriter w(kHeaderSize + payload.size());
-  w.WriteU32(kMagic);
-  w.WriteU16(static_cast<std::uint16_t>(type));
-  w.WriteU16(0);  // flags, reserved
-  w.WriteU64(seq);
-  w.WriteU64(session);
-  w.WriteU64(payload.size());
-  std::vector<std::uint8_t> out = std::move(w).Take();
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+std::array<std::uint8_t, Message::kHeaderSize> Message::EncodeHeader()
+    const {
+  // Same little-endian fixed-width layout WireWriter produces, written in
+  // place so sending a frame allocates nothing.
+  std::array<std::uint8_t, kHeaderSize> header;
+  std::uint8_t* out = header.data();
+  auto put = [&out](auto value) {
+    std::memcpy(out, &value, sizeof(value));
+    out += sizeof(value);
+  };
+  put(kMagic);
+  put(static_cast<std::uint16_t>(type));
+  put(std::uint16_t{0});  // flags, reserved
+  put(seq);
+  put(session);
+  put(static_cast<std::uint64_t>(payload.size()));
+  return header;
 }
 
 Expected<Message::Header> Message::ParseHeader(const void* data,
@@ -47,24 +55,6 @@ Expected<Message::Header> Message::ParseHeader(const void* data,
   header.session = *session;
   header.payload_size = *payload_size;
   return header;
-}
-
-Expected<Message> Message::Deserialize(const void* data, std::size_t size) {
-  auto header = ParseHeader(data, size);
-  if (!header.ok()) return header.status();
-  if (size != kHeaderSize + header->payload_size) {
-    return Status(ErrorCode::kProtocolError,
-                  "frame size mismatch: header claims " +
-                      std::to_string(header->payload_size) + " payload, got " +
-                      std::to_string(size - kHeaderSize));
-  }
-  Message msg;
-  msg.type = header->type;
-  msg.seq = header->seq;
-  msg.session = header->session;
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  msg.payload.assign(bytes + kHeaderSize, bytes + size);
-  return msg;
 }
 
 const char* MsgTypeName(MsgType type) noexcept {

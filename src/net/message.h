@@ -7,6 +7,7 @@
 // runtime are transport-agnostic.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -86,13 +87,12 @@ struct Message {
   // length prefix must not make a node try to allocate petabytes).
   static constexpr std::uint64_t kMaxPayload = 1ULL << 32;
 
-  // Serializes header+payload into a flat byte vector (TCP path).
-  [[nodiscard]] std::vector<std::uint8_t> Serialize() const;
+  // The fixed header of this message's frame. A stream transport sends it
+  // followed by `payload` itself, so the payload is never copied into a
+  // frame buffer.
+  [[nodiscard]] std::array<std::uint8_t, kHeaderSize> EncodeHeader() const;
 
-  // Parses a complete frame. `size` must be exactly one frame.
-  static Expected<Message> Deserialize(const void* data, std::size_t size);
-
-  // Parses just the fixed header, returning the payload length so stream
+  // Parses the fixed header, returning the payload length so stream
   // transports know how many more bytes to read.
   struct Header {
     MsgType type;

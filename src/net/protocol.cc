@@ -1,5 +1,6 @@
 #include "net/protocol.h"
 
+#include <cstring>
 #include <type_traits>
 
 #include "common/wire.h"
@@ -69,9 +70,16 @@ class Encoder {
 // Runs a field list over a payload, filling the fields in. The first
 // failure sticks: every later field is skipped, so conditional parts of a
 // list never act on a value that was not read.
+//
+// Given `owned`, the payload's own storage that the caller gives up, a
+// byte vector that runs to the end of the payload slides to the front of
+// that storage and takes it over: one in-place memmove instead of a fresh
+// allocation and a copy. Nothing is read after it, since nothing is left.
 class Decoder {
  public:
-  explicit Decoder(const std::vector<std::uint8_t>& bytes) : in_(bytes) {}
+  explicit Decoder(const std::vector<std::uint8_t>& bytes,
+                   std::vector<std::uint8_t>* owned = nullptr)
+      : in_(bytes), owned_(owned) {}
 
   template <typename... Ts>
   void operator()(Ts&... fields) {
@@ -110,7 +118,17 @@ class Decoder {
     } else if constexpr (std::is_same_v<T, std::string>) {
       Take(in_.ReadString(), v);
     } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
-      Take(in_.ReadByteVector(), v);
+      auto bytes = in_.ReadByteSpan();
+      if (!bytes.ok()) {
+        status_ = bytes.status();
+      } else if (owned_ != nullptr && in_.AtEnd()) {
+        std::memmove(owned_->data(), bytes->data(), bytes->size());
+        owned_->resize(bytes->size());
+        v = std::move(*owned_);
+        owned_ = nullptr;
+      } else {
+        v.assign(bytes->begin(), bytes->end());
+      }
     } else if constexpr (IsVector<T>::value) {
       std::uint32_t count = 0;
       Field(count);
@@ -131,6 +149,7 @@ class Decoder {
   }
 
   WireReader in_;
+  std::vector<std::uint8_t>* owned_;
   Status status_;
 };
 
@@ -147,9 +166,9 @@ std::vector<std::uint8_t> EncodeMessage(const T& message) {
 
 template <typename T>
 Expected<T> DecodeMessage(const std::vector<std::uint8_t>& bytes,
-                          const char* name) {
+                          std::vector<std::uint8_t>* owned, const char* name) {
   T message;
-  Decoder in(bytes);
+  Decoder in(bytes, owned);
   in(message);
   if (!in.status().ok()) {
     return Status(ErrorCode::kProtocolError, std::string("malformed ") +
@@ -161,9 +180,9 @@ Expected<T> DecodeMessage(const std::vector<std::uint8_t>& bytes,
 
 }  // namespace
 
-// Defines Type::Encode and Type::Decode from Type's field list, which is
-// the function body written right after the macro: `io(m.a, m.b, ...)`
-// naming m's fields in wire order.
+// Defines Type::Encode and both Type::Decode overloads from Type's field
+// list, which is the function body written right after the macro:
+// `io(m.a, m.b, ...)` naming m's fields in wire order.
 #define HAOCL_WIRE_FIELDS(Type)                                          \
   template <typename IO>                                                 \
   void Fields(IO& io, Type& m);                                          \
@@ -171,7 +190,10 @@ Expected<T> DecodeMessage(const std::vector<std::uint8_t>& bytes,
     return EncodeMessage(*this);                                         \
   }                                                                      \
   Expected<Type> Type::Decode(const std::vector<std::uint8_t>& bytes) {  \
-    return DecodeMessage<Type>(bytes, #Type);                            \
+    return DecodeMessage<Type>(bytes, nullptr, #Type);                   \
+  }                                                                      \
+  Expected<Type> Type::Decode(std::vector<std::uint8_t>&& bytes) {       \
+    return DecodeMessage<Type>(bytes, &bytes, #Type);                    \
   }                                                                      \
   template <typename IO>                                                 \
   void Fields(IO& io, Type& m)

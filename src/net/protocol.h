@@ -14,7 +14,9 @@
 // The list alone gives Encode (sized exactly, one allocation), Decode
 // (bounds, enum ranges and every claimed count or length checked before
 // anything is allocated; kProtocolError naming the message on failure),
-// and the sample puts the decoder under the mutation fuzzer.
+// a consuming Decode for payloads the caller gives up (a trailing byte
+// vector keeps the payload's storage: one memmove, no copy), and the
+// sample puts both decoders under the mutation fuzzer.
 //
 // Wire primitives: fixed-width little-endian scalars, bool as a u8 (any
 // nonzero byte reads as true), enums as their underlying type, strings and
@@ -30,10 +32,13 @@
 #include "common/status.h"
 #include "oclc/vm.h"
 
-// Declares a message's payload codec and its field-wise equality.
+// Declares a message's payload codec and its field-wise equality. The
+// rvalue Decode consumes the payload: a byte vector that runs to the end of
+// it takes the payload's storage over instead of being copied out.
 #define HAOCL_WIRE_MESSAGE(Type)                                        \
   [[nodiscard]] std::vector<std::uint8_t> Encode() const;               \
   static Expected<Type> Decode(const std::vector<std::uint8_t>& bytes); \
+  static Expected<Type> Decode(std::vector<std::uint8_t>&& bytes);      \
   bool operator==(const Type&) const = default
 
 namespace haocl::net {

@@ -58,12 +58,12 @@ Expected<Message> RpcClient::Call(MsgType type, std::uint64_t session,
                                   std::vector<std::uint8_t> payload,
                                   std::chrono::milliseconds timeout) {
   auto future = CallAsync(type, session, std::move(payload));
-  const auto* reply = future->WaitFor(timeout);
-  if (reply == nullptr) {
+  auto reply = future->TakeFor(timeout);
+  if (!reply.has_value()) {
     return Status(ErrorCode::kNetworkError,
                   std::string("RPC timeout for ") + MsgTypeName(type));
   }
-  return *reply;
+  return *std::move(reply);
 }
 
 Status RpcClient::Notify(MsgType type, std::uint64_t session,

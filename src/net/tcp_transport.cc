@@ -4,8 +4,10 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <mutex>
@@ -35,18 +37,31 @@ bool ReadAll(int fd, void* buffer, std::size_t size) {
   return true;
 }
 
-bool WriteAll(int fd, const void* buffer, std::size_t size) {
-  const auto* p = static_cast<const std::uint8_t*>(buffer);
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, p + done, size - done);
+// Writes every byte of `parts`, resuming after partial writes (a frame
+// larger than the socket buffer goes out in several); false on error.
+bool WriteAll(int fd, iovec* parts, int count) {
+  for (;;) {
+    while (count > 0 && parts->iov_len == 0) {
+      ++parts;
+      --count;
+    }
+    if (count == 0) return true;
+    const ssize_t n = ::writev(fd, parts, count);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;
     }
-    done += static_cast<std::size_t>(n);
+    for (auto done = static_cast<std::size_t>(n); done > 0;) {
+      const std::size_t step = std::min(done, parts->iov_len);
+      parts->iov_base = static_cast<std::uint8_t*>(parts->iov_base) + step;
+      parts->iov_len -= step;
+      done -= step;
+      if (parts->iov_len == 0) {
+        ++parts;
+        --count;
+      }
+    }
   }
-  return true;
 }
 
 class TcpConnection : public Connection {
@@ -58,24 +73,29 @@ class TcpConnection : public Connection {
 
   ~TcpConnection() override { Close(); }
 
+  // One gathered write of the header and the payload in place: the
+  // payload is never copied into a frame buffer.
   Status Send(const Message& message) override {
-    const std::vector<std::uint8_t> frame = message.Serialize();
+    auto header = message.EncodeHeader();
+    iovec parts[2] = {
+        {header.data(), header.size()},
+        {const_cast<std::uint8_t*>(message.payload.data()),
+         message.payload.size()}};
     std::lock_guard<std::mutex> lock(write_mutex_);
     if (closed_.load(std::memory_order_acquire)) {
       return Status(ErrorCode::kNodeUnreachable, "connection closed");
     }
-    if (!WriteAll(fd_, frame.data(), frame.size())) {
-      return Errno("send failed");
-    }
-    bytes_sent_.fetch_add(frame.size(), std::memory_order_relaxed);
+    if (!WriteAll(fd_, parts, 2)) return Errno("send failed");
+    bytes_sent_.fetch_add(message.WireSize(), std::memory_order_relaxed);
     messages_sent_.fetch_add(1, std::memory_order_relaxed);
     return Status::Ok();
   }
 
+  // The reader parses each header, then reads the payload straight into
+  // the message it hands to the handler.
   void Start(MessageHandler handler) override {
     reader_ = std::thread([this, handler = std::move(handler)] {
       std::uint8_t header[Message::kHeaderSize];
-      std::vector<std::uint8_t> frame;
       while (!closed_.load(std::memory_order_acquire)) {
         if (!ReadAll(fd_, header, sizeof(header))) break;
         auto parsed = Message::ParseHeader(header, sizeof(header));
@@ -84,19 +104,13 @@ class TcpConnection : public Connection {
                      << parsed.status().ToString();
           break;
         }
-        frame.assign(header, header + sizeof(header));
-        frame.resize(sizeof(header) + parsed->payload_size);
-        if (parsed->payload_size != 0 &&
-            !ReadAll(fd_, frame.data() + sizeof(header),
-                     parsed->payload_size)) {
-          break;
-        }
-        auto msg = Message::Deserialize(frame.data(), frame.size());
-        if (!msg.ok()) {
-          HAOCL_WARN << "bad frame: " << msg.status().ToString();
-          break;
-        }
-        handler(*std::move(msg));
+        Message msg;
+        msg.type = parsed->type;
+        msg.seq = parsed->seq;
+        msg.session = parsed->session;
+        msg.payload.resize(parsed->payload_size);
+        if (!ReadAll(fd_, msg.payload.data(), msg.payload.size())) break;
+        handler(std::move(msg));
       }
     });
   }

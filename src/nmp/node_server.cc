@@ -48,10 +48,12 @@ void NodeServer::Serve(net::ConnectionPtr connection) {
   // worker is busy executing a long kernel.
   raw->connection->Start([this, raw](Message msg) {
     if (msg.type == MsgType::kRevokeChunk || msg.type == MsgType::kHeartbeat) {
-      Message reply = HandleControlMessage(msg);
-      reply.seq = msg.seq;
-      reply.session = msg.session;
-      if (msg.seq != 0) (void)raw->connection->Send(reply);
+      const std::uint64_t seq = msg.seq;
+      const std::uint64_t session = msg.session;
+      Message reply = HandleControlMessage(std::move(msg));
+      reply.seq = seq;
+      reply.session = session;
+      if (seq != 0) (void)raw->connection->Send(reply);
       return;
     }
     queue_depth_.fetch_add(1, std::memory_order_relaxed);
@@ -86,10 +88,12 @@ void NodeServer::WorkerLoop(Channel* channel) {
       broker_.UnregisterTenant(msg->session);
       break;
     }
-    Message reply = HandleMessage(*msg);
-    reply.seq = msg->seq;
-    reply.session = msg->session;
-    if (msg->seq == 0) continue;  // One-way message: no reply wanted.
+    const std::uint64_t seq = msg->seq;
+    const std::uint64_t session = msg->session;
+    Message reply = HandleMessage(*std::move(msg));
+    if (seq == 0) continue;  // One-way message: no reply wanted.
+    reply.seq = seq;
+    reply.session = session;
     Status sent = channel->connection->Send(reply);
     if (!sent.ok()) {
       HAOCL_WARN << "NMP " << name_ << ": reply failed: " << sent.ToString();
@@ -137,12 +141,14 @@ Message StatusMessage(const Status& status) {
                net::StatusReply::FromStatus(status).Encode());
 }
 
-// Decodes the request payload as T. A malformed payload is logged and
-// `reply` becomes its protocol-error status; the caller sends only that.
+// Decodes the request payload as T, consuming it: a trailing byte vector
+// (a kWriteBuffer body) keeps the payload's storage instead of being
+// copied. A malformed payload is logged and `reply` becomes its
+// protocol-error status; the caller sends only that.
 template <typename T>
-std::optional<T> DecodeOrReply(const std::string& node, const Message& request,
+std::optional<T> DecodeOrReply(const std::string& node, Message& request,
                                Message& reply) {
-  auto decoded = T::Decode(request.payload);
+  auto decoded = T::Decode(std::move(request.payload));
   if (decoded.ok()) return *std::move(decoded);
   HAOCL_WARN << "NMP " << node << ": " << decoded.status().ToString();
   reply = StatusMessage(decoded.status());
@@ -151,7 +157,7 @@ std::optional<T> DecodeOrReply(const std::string& node, const Message& request,
 
 }  // namespace
 
-Message NodeServer::HandleControlMessage(const Message& request) {
+Message NodeServer::HandleControlMessage(Message request) {
   Message reply = StatusMessage(Status::Ok());
   switch (request.type) {
     case MsgType::kHeartbeat:
@@ -171,7 +177,7 @@ Message NodeServer::HandleControlMessage(const Message& request) {
   return reply;
 }
 
-Message NodeServer::HandleMessage(const Message& request) {
+Message NodeServer::HandleMessage(Message request) {
   Message reply;
   runtime::DeviceSession& session = SessionFor(request.session);
 

@@ -79,11 +79,12 @@ class NodeServer {
   struct Channel;  // One served connection.
 
   void WorkerLoop(Channel* channel);
-  net::Message HandleMessage(const net::Message& request);
+  // Both handlers take the request by value: decoding consumes its payload.
+  net::Message HandleMessage(net::Message request);
   // Control-plane messages (kRevokeChunk, kHeartbeat) answered on the
   // receive path, ahead of the per-connection inbox, so they overtake
   // queued launches and get through while the worker is busy.
-  net::Message HandleControlMessage(const net::Message& request);
+  net::Message HandleControlMessage(net::Message request);
   runtime::DeviceSession& SessionFor(std::uint64_t session_id);
   // The RPC client for `peer_index`, or nullptr when no link exists.
   net::RpcClient* PeerClient(std::size_t peer_index);

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -109,6 +111,19 @@ TEST(PromiseTest, WaitForTimesOut) {
   const int* v = p.WaitFor(std::chrono::milliseconds(10));
   ASSERT_NE(v, nullptr);
   EXPECT_EQ(*v, 5);
+}
+
+TEST(PromiseTest, TakeForMovesTheValueOutAndLaterSetsAreDropped) {
+  Promise<std::unique_ptr<int>> p;
+  EXPECT_FALSE(p.TakeFor(std::chrono::milliseconds(10)).has_value());
+  p.Set(std::make_unique<int>(1));
+  auto taken = p.TakeFor(std::chrono::milliseconds(10));
+  ASSERT_TRUE(taken.has_value() && *taken != nullptr);
+  EXPECT_EQ(**taken, 1);
+  // Still set: a late second writer must not count as the first.
+  p.Set(std::make_unique<int>(2));
+  EXPECT_TRUE(p.Ready());
+  EXPECT_EQ(p.Wait(), nullptr) << "the taken value was replaced";
 }
 
 }  // namespace

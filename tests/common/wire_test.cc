@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 namespace haocl {
@@ -42,7 +43,7 @@ TEST(WireTest, StringAndBytesRoundTrip) {
   WireReader r(w.bytes());
   EXPECT_EQ(*r.ReadString(), "clEnqueueNDRangeKernel");
   EXPECT_EQ(*r.ReadString(), "");
-  EXPECT_EQ(*r.ReadByteVector(), blob);
+  EXPECT_TRUE(std::ranges::equal(*r.ReadByteSpan(), blob));
   EXPECT_TRUE(r.AtEnd());
 }
 
@@ -66,7 +67,7 @@ TEST(WireTest, TruncatedByteVectorFails) {
   WireWriter w;
   w.WriteU64(1ULL << 40);  // Absurd length.
   WireReader r(w.bytes());
-  EXPECT_FALSE(r.ReadByteVector().ok());
+  EXPECT_FALSE(r.ReadByteSpan().ok());
 }
 
 // A length near 2^64 once wrapped the read position past the bounds check
@@ -78,7 +79,7 @@ TEST(WireTest, WrappingByteVectorLengthFails) {
   for (int i = 0; i < 32; ++i) w.WriteU8(0);
   WireReader r(w.bytes());
   ASSERT_TRUE(r.ReadU64().ok());
-  auto bytes = r.ReadByteVector();
+  auto bytes = r.ReadByteSpan();
   ASSERT_FALSE(bytes.ok());
   EXPECT_EQ(bytes.code(), ErrorCode::kProtocolError);
 }
@@ -137,7 +138,7 @@ TEST(WireTest, RandomizedRoundTripProperty) {
       } else if (kind == 1) {
         ASSERT_EQ(*r.ReadString(), strings[si++]);
       } else {
-        ASSERT_EQ(*r.ReadByteVector(), blobs[bi++]);
+        ASSERT_TRUE(std::ranges::equal(*r.ReadByteSpan(), blobs[bi++]));
       }
     }
     ASSERT_TRUE(r.AtEnd());

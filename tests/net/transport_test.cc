@@ -1,5 +1,10 @@
 // Transport tests: the in-process channel and the real TCP loopback path
 // must behave identically (ordering, large frames, clean shutdown).
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,9 +12,11 @@
 #include <thread>
 
 #include "common/sync.h"
+#include "net/protocol.h"
 #include "net/rpc.h"
 #include "net/sim_transport.h"
 #include "net/tcp_transport.h"
+#include "nmp/node_server.h"
 
 namespace haocl::net {
 namespace {
@@ -171,6 +178,98 @@ TEST_F(TcpTransportTest, ManyMessagesStayOrdered) {
   (*server)->Close();
 }
 
+// Two threads share one connection. Each frame is one gathered write of
+// header and payload; the 16 MiB one is larger than the socket buffer, so
+// it leaves in several partial writes, which must not interleave with the
+// other thread's frames.
+TEST_F(TcpTransportTest, ConcurrentSendersFramesArriveWholeAndInOrder) {
+  auto client = TcpConnect("127.0.0.1", listener_->port());
+  ASSERT_TRUE(client.ok());
+  auto server = accepted_.Pop();
+  BlockingQueue<Message> at_server;
+  (*server)->Start([&](Message m) { at_server.Push(std::move(m)); });
+  (*client)->Start([](Message) {});
+
+  constexpr std::size_t kSizes[] = {0, 1, 64 << 10, (16 << 20) + 3};
+  constexpr std::uint64_t kPerThread = 2 * std::size(kSizes);
+  // seq = 1000 * thread + index; the bytes depend on the seq, so a frame
+  // delivered under the wrong header fails the comparison.
+  auto payload = [&](std::uint64_t seq) {
+    std::vector<std::uint8_t> bytes(kSizes[seq % 1000 % std::size(kSizes)]);
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] = static_cast<std::uint8_t>((i * 2654435761u >> 24) ^ seq);
+    }
+    return bytes;
+  };
+  std::uint64_t expected_bytes = 0;
+  for (std::uint64_t i = 0; i < 2 * kPerThread; ++i) {
+    expected_bytes += Message::kHeaderSize + kSizes[i % std::size(kSizes)];
+  }
+  std::vector<std::thread> senders;
+  for (std::uint64_t t = 0; t < 2; ++t) {
+    senders.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        const std::uint64_t seq = 1000 * t + i;
+        EXPECT_TRUE(
+            (*client)->Send(Make(MsgType::kWriteBuffer, seq, payload(seq)))
+                .ok());
+      }
+    });
+  }
+  std::uint64_t next[2] = {0, 0};
+  for (std::uint64_t n = 0; n < 2 * kPerThread; ++n) {
+    auto got = at_server.Pop();  // Never empty: the queue stays open.
+    const std::uint64_t thread = got->seq / 1000;
+    if (thread >= 2) {
+      ADD_FAILURE() << "unexpected seq " << got->seq;
+      continue;
+    }
+    EXPECT_EQ(got->seq % 1000, next[thread]++);
+    EXPECT_TRUE(got->payload == payload(got->seq)) << "seq " << got->seq;
+  }
+  for (std::thread& sender : senders) sender.join();
+  EXPECT_EQ((*client)->bytes_sent(), expected_bytes);
+  EXPECT_EQ((*client)->messages_sent(), 2 * kPerThread);
+  (*client)->Close();
+  (*server)->Close();
+}
+
+// The reader hands over only whole frames: a payload cut short by the
+// peer closing is never delivered.
+TEST_F(TcpTransportTest, TruncatedFrameIsNotDelivered) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(listener_->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  auto server = accepted_.Pop();
+  BlockingQueue<Message> at_server;
+  (*server)->Start([&](Message m) { at_server.Push(std::move(m)); });
+
+  const Message whole = Make(MsgType::kWriteBuffer, 1, {1, 2, 3});
+  const Message cut = Make(MsgType::kWriteBuffer, 2, {4, 5, 6});
+  std::vector<std::uint8_t> stream;
+  for (const Message* m : {&whole, &cut}) {
+    const auto header = m->EncodeHeader();
+    stream.insert(stream.end(), header.begin(), header.end());
+    stream.insert(stream.end(), m->payload.begin(), m->payload.end());
+  }
+  stream.pop_back();  // The second frame claims 3 bytes but carries 2.
+  ASSERT_EQ(::write(fd, stream.data(), stream.size()),
+            static_cast<ssize_t>(stream.size()));
+  ::close(fd);
+
+  auto got = at_server.Pop();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->seq, 1u);
+  EXPECT_EQ(got->payload, whole.payload);
+  (*server)->Close();  // Joins the reader: nothing more can arrive.
+  EXPECT_FALSE(at_server.TryPop().has_value());
+}
+
 TEST(TcpConnectTest, RefusedConnectionReported) {
   // Port 1 is essentially never listening.
   auto client = TcpConnect("127.0.0.1", 1);
@@ -228,6 +327,79 @@ TEST(RpcTest, CloseFailsPendingCalls) {
   client.Close();
   EXPECT_FALSE(pending->Wait().ok());
   node_end->Close();
+}
+
+// A reply that arrives after the call's deadline already failed it is an
+// orphan: dropped, never delivered in place of the deadline error, and
+// never matched to a later call.
+TEST(RpcTest, LateReplyAfterDeadlineIsDropped) {
+  auto [host_end, node_end] = CreateSimChannel();
+  BlockingQueue<Message> requests;
+  node_end->Start([&](Message m) { requests.Push(std::move(m)); });
+  RpcClient client(std::move(host_end));
+  client.SetCallTimeout(std::chrono::milliseconds(50));
+
+  auto late = client.CallAsync(MsgType::kQueryLoad, 1, {});
+  EXPECT_EQ(late->Wait().code(), ErrorCode::kNodeLost);
+  auto request = requests.Pop();
+  ASSERT_TRUE(request.has_value());
+  Message stale = Make(MsgType::kStatusReply, request->seq, {0xEE});
+  ASSERT_TRUE(node_end->Send(stale).ok());
+
+  // The next call gets its own reply, not the stale one.
+  std::thread node([&] {
+    auto next = requests.Pop();
+    ASSERT_TRUE(next.has_value());
+    ASSERT_TRUE(
+        node_end->Send(Make(MsgType::kStatusReply, next->seq, {0x11})).ok());
+  });
+  client.SetCallTimeout(std::chrono::milliseconds(0));
+  auto reply = client.Call(MsgType::kQueryLoad, 1, {});
+  node.join();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->payload, (std::vector<std::uint8_t>{0x11}));
+  EXPECT_EQ(late->Wait().code(), ErrorCode::kNodeLost);
+  client.Close();
+  node_end->Close();
+}
+
+// A bulk read through a real daemon: the reply is moved out of the call,
+// and its bytes are exactly the buffer's.
+TEST(RpcTest, Call16MiBReadBufferReturnsExactBytes) {
+  auto server = nmp::NodeServer::Create("gpu0", NodeType::kGpu);
+  ASSERT_TRUE(server.ok());
+  TcpListener listener(0);
+  ASSERT_TRUE(
+      listener.Start([&](ConnectionPtr c) { (*server)->Serve(std::move(c)); })
+          .ok());
+  auto connection = TcpConnect("127.0.0.1", listener.port());
+  ASSERT_TRUE(connection.ok());
+  RpcClient client(*std::move(connection));
+
+  constexpr std::uint64_t kBytes = 16 << 20;
+  WriteBufferRequest write;
+  write.buffer_id = 1;
+  write.data.resize(kBytes);
+  for (std::size_t i = 0; i < kBytes; ++i) {
+    write.data[i] = static_cast<std::uint8_t>(i * 2654435761u >> 24);
+  }
+  auto created = client.Call(MsgType::kCreateBuffer, 1,
+                             CreateBufferRequest{1, kBytes}.Encode());
+  ASSERT_TRUE(created.ok());
+  auto written = client.Call(MsgType::kWriteBuffer, 1, write.Encode());
+  ASSERT_TRUE(written.ok());
+  auto status = StatusReply::Decode(written->payload);
+  ASSERT_TRUE(status.ok() && status->ToStatus().ok());
+
+  auto read = client.Call(MsgType::kReadBuffer, 1,
+                          ReadBufferRequest{1, 0, kBytes}.Encode());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read->type, MsgType::kReadReply);
+  EXPECT_TRUE(read->payload == write.data);
+
+  client.Close();
+  (*server)->Shutdown();
+  listener.Stop();
 }
 
 }  // namespace

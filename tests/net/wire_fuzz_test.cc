@@ -6,6 +6,7 @@
 // or count field claiming 0, the remaining size -1/+0/+1, or the maximum.
 // A decoder must answer each with a value or kProtocolError; it must never
 // throw, crash, or (under the sanitizers) touch memory it does not own.
+// Every mutant goes through both Decode overloads, which must agree.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -29,6 +30,15 @@ bool DecodeMutant(const char* name, const std::vector<std::uint8_t>& bytes,
                   Outcomes& outcomes) {
   try {
     Expected<T> decoded = T::Decode(bytes);
+    // The consuming decode (the node's path) must reach the same outcome:
+    // the same error, or a value that encodes to the same bytes (compared
+    // as bytes, since a mutated double may be a NaN).
+    Expected<T> consumed = T::Decode(std::vector<std::uint8_t>(bytes));
+    EXPECT_EQ(consumed.status().ToString(), decoded.status().ToString())
+        << name;
+    if (decoded.ok() && consumed.ok()) {
+      EXPECT_TRUE(consumed->Encode() == decoded->Encode()) << name;
+    }
     if (decoded.ok()) {
       ++outcomes.decoded;
       return true;

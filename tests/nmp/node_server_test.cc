@@ -98,6 +98,37 @@ TEST_F(NodeServerTest, OversizedClaimsGetProtocolErrorAndDaemonSurvives) {
   }
 }
 
+// A read or write whose offset + size wraps past 2^64 once passed the
+// session's bounds check and touched memory before the buffer. Both are
+// now plain kInvalidValue answers, and the daemon keeps serving.
+TEST_F(NodeServerTest, WrappingRangesGetInvalidValueAndDaemonSurvives) {
+  constexpr std::uint64_t kWrap = ~std::uint64_t{0} - 7;  // 2^64 - 8.
+  auto created = client_->Call(MsgType::kCreateBuffer, 1,
+                               net::CreateBufferRequest{1, 1024}.Encode());
+  ASSERT_TRUE(created.ok());
+  net::WriteBufferRequest write;
+  write.buffer_id = 1;
+  write.offset = kWrap;
+  write.data.assign(16, 0xAB);
+  for (const auto& [type, payload] :
+       {std::pair{MsgType::kReadBuffer,
+                  net::ReadBufferRequest{1, kWrap, 16}.Encode()},
+        std::pair{MsgType::kWriteBuffer, write.Encode()}}) {
+    SCOPED_TRACE(net::MsgTypeName(type));
+    auto reply = client_->Call(type, 1, payload);
+    ASSERT_TRUE(reply.ok());
+    ASSERT_EQ(reply->type, MsgType::kStatusReply);
+    auto status = net::StatusReply::Decode(reply->payload);
+    ASSERT_TRUE(status.ok());
+    EXPECT_EQ(status->ToStatus().code(), ErrorCode::kInvalidValue);
+  }
+  auto heartbeat = client_->Call(MsgType::kHeartbeat, 1, {});
+  ASSERT_TRUE(heartbeat.ok());
+  auto alive = net::StatusReply::Decode(heartbeat->payload);
+  ASSERT_TRUE(alive.ok());
+  EXPECT_TRUE(alive->ToStatus().ok());
+}
+
 TEST_F(NodeServerTest, UnknownMessageTypeRejected) {
   auto reply = client_->Call(static_cast<MsgType>(999), 1, {});
   ASSERT_TRUE(reply.ok());

@@ -79,6 +79,41 @@ TEST_F(DeviceSessionTest, CopyBuffer) {
   EXPECT_FALSE(session_->CopyBuffer(copy).ok());
 }
 
+// offset + size wraps for these offsets: a sum-based bounds check passes
+// them and touches the bytes just before the allocation.
+TEST_F(DeviceSessionTest, WrappingRangesRejected) {
+  constexpr std::uint64_t kWrap = ~std::uint64_t{0} - 7;  // 2^64 - 8.
+  ASSERT_TRUE(session_->CreateBuffer(1, 1024).ok());
+  ASSERT_TRUE(session_->CreateBuffer(2, 1024).ok());
+  EXPECT_EQ(session_->ReadBuffer(1, kWrap, 16).code(),
+            ErrorCode::kInvalidValue);
+  EXPECT_EQ(session_->WriteBuffer(1, kWrap, std::vector<std::uint8_t>(16))
+                .code(),
+            ErrorCode::kInvalidValue);
+
+  net::CopyBufferRequest copy{1, 2, 0, 0, 16};
+  copy.src_offset = kWrap;
+  EXPECT_EQ(session_->CopyBuffer(copy).code(), ErrorCode::kInvalidValue);
+  copy.src_offset = 0;
+  copy.dst_offset = kWrap;
+  EXPECT_EQ(session_->CopyBuffer(copy).code(), ErrorCode::kInvalidValue);
+
+  net::MemoryNoticeRequest notice{1, true, {{kWrap, 16}}};
+  EXPECT_EQ(session_->MemoryNotice(notice).code(), ErrorCode::kInvalidValue);
+
+  int fetches = 0;
+  auto fetch = [&fetches](std::uint32_t, std::uint64_t, std::uint64_t,
+                          std::uint64_t size)
+      -> Expected<std::vector<std::uint8_t>> {
+    ++fetches;
+    return std::vector<std::uint8_t>(size);
+  };
+  net::PullSliceRequest pull{1, kWrap, 16, 0};
+  EXPECT_EQ(session_->PullSlice(pull, fetch).code(), ErrorCode::kInvalidValue);
+  EXPECT_EQ(fetches, 0);
+  EXPECT_EQ(session_->resident_bytes(), 0u);
+}
+
 TEST_F(DeviceSessionTest, PullSliceStoresPeerBytes) {
   ASSERT_TRUE(session_->CreateBuffer(1, 16).ok());
   net::PullSliceRequest pull;
