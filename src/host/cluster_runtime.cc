@@ -220,11 +220,12 @@ Status ClusterRuntime::CheckReply(const Expected<Message>& reply,
   return Status::Ok();
 }
 
-Expected<Message> ClusterRuntime::CallNode(std::size_t node, MsgType type,
-                                           std::vector<std::uint8_t> payload) {
+Expected<Message> ClusterRuntime::CallNode(
+    std::size_t node, MsgType type, std::vector<std::uint8_t> payload,
+    std::span<const std::uint8_t> tail) {
   InFlightGuard in_flight(this, node);
-  auto future =
-      nodes_[node]->CallAsync(type, options_.session_id, std::move(payload));
+  auto future = nodes_[node]->CallAsync(type, options_.session_id,
+                                        std::move(payload), tail);
   auto reply = future->TakeFor(options_.rpc_timeout);
   if (!reply.has_value()) {
     return Status(ErrorCode::kNetworkError,
@@ -685,12 +686,14 @@ Status ClusterRuntime::EnsureRangeOnNodeLocked(BufferId id,
   auto ship_from_host = [&](std::uint64_t run_begin,
                             std::uint64_t run_end) -> Status {
     const std::uint64_t len = run_end - run_begin;
+    // The body goes out of the shadow itself as the request's tail; the
+    // buffer's lock keeps the range stable until CallNode has sent it.
     net::WriteBufferRequest request;
     request.buffer_id = id;
     request.offset = run_begin;
-    request.data.assign(buffer.shadow.begin() + run_begin,
-                        buffer.shadow.begin() + run_end);
-    auto reply = CallNode(node, MsgType::kWriteBuffer, request.Encode());
+    auto reply = CallNode(
+        node, MsgType::kWriteBuffer, request.EncodeHead(len),
+        std::span<const std::uint8_t>(buffer.shadow).subspan(run_begin, len));
     HAOCL_RETURN_IF_ERROR(CheckReply(reply, MsgType::kStatusReply));
     AccountTransfer(buffer, &TransferStats::host_bytes_out, len);
     if (timing == TransferTiming::kPrefetch) {

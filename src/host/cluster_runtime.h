@@ -48,6 +48,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -579,8 +580,11 @@ class ClusterRuntime {
 
   // Sends `payload` through CallAsync and awaits the reply with the
   // configured timeout, counting the command against `node`'s depth.
+  // `tail` follows the payload on the wire (net::Message::tail); it is
+  // sent, and no longer read, before CallNode returns.
   Expected<net::Message> CallNode(std::size_t node, net::MsgType type,
-                                  std::vector<std::uint8_t> payload);
+                                  std::vector<std::uint8_t> payload,
+                                  std::span<const std::uint8_t> tail = {});
   Status CheckReply(const Expected<net::Message>& reply,
                     net::MsgType expected_type) const;
 

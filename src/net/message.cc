@@ -21,7 +21,7 @@ std::array<std::uint8_t, Message::kHeaderSize> Message::EncodeHeader()
   put(std::uint16_t{0});  // flags, reserved
   put(seq);
   put(session);
-  put(static_cast<std::uint64_t>(payload.size()));
+  put(static_cast<std::uint64_t>(payload.size() + tail.size()));
   return header;
 }
 

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,9 +77,16 @@ struct Message {
   std::uint64_t seq = 0;      // Request/response matching.
   std::uint64_t session = 0;  // Multi-user isolation.
   std::vector<std::uint8_t> payload;
+  // Bytes sent right after `payload`, from wherever they already live (a
+  // host shadow, a node replica), so a bulk body is never staged in a
+  // vector. Borrowed only until Send returns. On the wire the frame's
+  // payload is `payload` followed by `tail`; a received message has the
+  // whole of it in `payload` and an empty tail.
+  std::span<const std::uint8_t> tail;
 
+  // Bytes this message puts on the wire: header, payload and tail.
   [[nodiscard]] std::size_t WireSize() const noexcept {
-    return kHeaderSize + payload.size();
+    return kHeaderSize + payload.size() + tail.size();
   }
 
   static constexpr std::uint32_t kMagic = 0x48414F43;  // "HAOC"
@@ -88,8 +96,8 @@ struct Message {
   static constexpr std::uint64_t kMaxPayload = 1ULL << 32;
 
   // The fixed header of this message's frame. A stream transport sends it
-  // followed by `payload` itself, so the payload is never copied into a
-  // frame buffer.
+  // followed by `payload` and `tail` themselves, so neither is copied into
+  // a frame buffer.
   [[nodiscard]] std::array<std::uint8_t, kHeaderSize> EncodeHeader() const;
 
   // Parses the fixed header, returning the payload length so stream

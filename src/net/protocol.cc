@@ -1,6 +1,8 @@
 #include "net/protocol.h"
 
+#include <cassert>
 #include <cstring>
+#include <optional>
 #include <type_traits>
 
 #include "common/wire.h"
@@ -22,9 +24,15 @@ constexpr WireKernelArg::Kind LastValue(WireKernelArg::Kind) {
 
 // Runs a field list forward. Without an output vector it only counts the
 // bytes, so Encode can size the payload exactly and allocate it once.
+//
+// Given a tail size, it encodes a head (EncodeHead): the list's byte
+// vector becomes a u64 length of `tail_size` with no bytes, and it must be
+// the list's last field, since its bytes follow on the wire as the tail.
 class Encoder {
  public:
-  explicit Encoder(std::vector<std::uint8_t>* out = nullptr) : out_(out) {}
+  explicit Encoder(std::vector<std::uint8_t>* out = nullptr,
+                   std::optional<std::uint64_t> tail_size = std::nullopt)
+      : out_(out), tail_size_(tail_size) {}
 
   template <typename... Ts>
   void operator()(const Ts&... fields) {
@@ -32,9 +40,12 @@ class Encoder {
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
+  // Whether a head encoding reached its trailing byte vector.
+  [[nodiscard]] bool head_done() const { return head_done_; }
 
  private:
   void Put(const void* data, std::size_t size) {
+    assert(!head_done_ && "EncodeHead: the byte vector is not the last field");
     size_ += size;
     if (out_ == nullptr) return;
     const auto* bytes = static_cast<const std::uint8_t*>(data);
@@ -51,8 +62,13 @@ class Encoder {
       Field(static_cast<std::uint32_t>(v.size()));
       Put(v.data(), v.size());
     } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
-      Field(static_cast<std::uint64_t>(v.size()));
-      Put(v.data(), v.size());
+      if (tail_size_.has_value()) {
+        Field(*tail_size_);
+        head_done_ = true;
+      } else {
+        Field(static_cast<std::uint64_t>(v.size()));
+        Put(v.data(), v.size());
+      }
     } else if constexpr (IsVector<T>::value) {
       Field(static_cast<std::uint32_t>(v.size()));
       for (const auto& item : v) Field(item);
@@ -64,7 +80,9 @@ class Encoder {
   }
 
   std::vector<std::uint8_t>* out_;
+  std::optional<std::uint64_t> tail_size_;
   std::size_t size_ = 0;
+  bool head_done_ = false;
 };
 
 // Runs a field list over a payload, filling the fields in. The first
@@ -154,12 +172,15 @@ class Decoder {
 };
 
 template <typename T>
-std::vector<std::uint8_t> EncodeMessage(const T& message) {
-  Encoder sizer;
+std::vector<std::uint8_t> EncodeMessage(
+    const T& message, std::optional<std::uint64_t> tail_size = std::nullopt) {
+  Encoder sizer(nullptr, tail_size);
   sizer(message);
+  assert((!tail_size || sizer.head_done()) &&
+         "EncodeHead: the field list has no byte vector");
   std::vector<std::uint8_t> bytes;
   bytes.reserve(sizer.size());
-  Encoder out(&bytes);
+  Encoder out(&bytes, tail_size);
   out(message);
   return bytes;
 }
@@ -180,14 +201,18 @@ Expected<T> DecodeMessage(const std::vector<std::uint8_t>& bytes,
 
 }  // namespace
 
-// Defines Type::Encode and both Type::Decode overloads from Type's field
-// list, which is the function body written right after the macro:
-// `io(m.a, m.b, ...)` naming m's fields in wire order.
+// Defines Type::Encode, Type::EncodeHead and both Type::Decode overloads
+// from Type's field list, which is the function body written right after
+// the macro: `io(m.a, m.b, ...)` naming m's fields in wire order.
 #define HAOCL_WIRE_FIELDS(Type)                                          \
   template <typename IO>                                                 \
   void Fields(IO& io, Type& m);                                          \
   std::vector<std::uint8_t> Type::Encode() const {                       \
     return EncodeMessage(*this);                                         \
+  }                                                                      \
+  std::vector<std::uint8_t> Type::EncodeHead(std::uint64_t tail_size)    \
+      const {                                                            \
+    return EncodeMessage(*this, tail_size);                              \
   }                                                                      \
   Expected<Type> Type::Decode(const std::vector<std::uint8_t>& bytes) {  \
     return DecodeMessage<Type>(bytes, nullptr, #Type);                   \

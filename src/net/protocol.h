@@ -11,12 +11,13 @@
 //   2. write its field list in protocol.cc with HAOCL_WIRE_FIELDS(Type)
 //      (a new enum type also gets a LastValue overload there);
 //   3. add a populated sample and its bytes to tests/net/golden_messages.h.
-// The list alone gives Encode (sized exactly, one allocation), Decode
-// (bounds, enum ranges and every claimed count or length checked before
-// anything is allocated; kProtocolError naming the message on failure),
-// a consuming Decode for payloads the caller gives up (a trailing byte
-// vector keeps the payload's storage: one memmove, no copy), and the
-// sample puts both decoders under the mutation fuzzer.
+// The list alone gives Encode (sized exactly, one allocation), EncodeHead
+// (the same up to a trailing byte vector's length, for a body sent as the
+// frame's tail), Decode (bounds, enum ranges and every claimed count or
+// length checked before anything is allocated; kProtocolError naming the
+// message on failure), a consuming Decode for payloads the caller gives up
+// (a trailing byte vector keeps the payload's storage: one memmove, no
+// copy), and the sample puts both decoders under the mutation fuzzer.
 //
 // Wire primitives: fixed-width little-endian scalars, bool as a u8 (any
 // nonzero byte reads as true), enums as their underlying type, strings and
@@ -35,8 +36,15 @@
 // Declares a message's payload codec and its field-wise equality. The
 // rvalue Decode consumes the payload: a byte vector that runs to the end of
 // it takes the payload's storage over instead of being copied out.
+// EncodeHead serves a message whose field list ends in a byte vector: it
+// encodes everything up to that field's u64 length, given as `tail_size`,
+// and leaves the bytes out, so the caller sends them as the frame's
+// Message::tail straight from where they live. Head and tail together are
+// byte for byte what Encode gives; the vector's own contents are ignored.
 #define HAOCL_WIRE_MESSAGE(Type)                                        \
   [[nodiscard]] std::vector<std::uint8_t> Encode() const;               \
+  [[nodiscard]] std::vector<std::uint8_t> EncodeHead(                   \
+      std::uint64_t tail_size) const;                                   \
   static Expected<Type> Decode(const std::vector<std::uint8_t>& bytes); \
   static Expected<Type> Decode(std::vector<std::uint8_t>&& bytes);      \
   bool operator==(const Type&) const = default

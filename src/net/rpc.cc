@@ -20,15 +20,16 @@ void RpcClient::SetCallTimeout(std::chrono::milliseconds timeout) {
   call_timeout_ = timeout;
 }
 
-RpcClient::ReplyFuture RpcClient::CallAsync(MsgType type,
-                                            std::uint64_t session,
-                                            std::vector<std::uint8_t> payload) {
+RpcClient::ReplyFuture RpcClient::CallAsync(
+    MsgType type, std::uint64_t session, std::vector<std::uint8_t> payload,
+    std::span<const std::uint8_t> tail) {
   auto future = std::make_shared<Promise<Expected<Message>>>();
   Message msg;
   msg.type = type;
   msg.session = session;
   msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   msg.payload = std::move(payload);
+  msg.tail = tail;
   bool armed = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -56,8 +57,9 @@ RpcClient::ReplyFuture RpcClient::CallAsync(MsgType type,
 
 Expected<Message> RpcClient::Call(MsgType type, std::uint64_t session,
                                   std::vector<std::uint8_t> payload,
-                                  std::chrono::milliseconds timeout) {
-  auto future = CallAsync(type, session, std::move(payload));
+                                  std::chrono::milliseconds timeout,
+                                  std::span<const std::uint8_t> tail) {
+  auto future = CallAsync(type, session, std::move(payload), tail);
   auto reply = future->TakeFor(timeout);
   if (!reply.has_value()) {
     return Status(ErrorCode::kNetworkError,

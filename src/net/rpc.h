@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <unordered_map>
 
@@ -35,8 +36,11 @@ class RpcClient {
   // When a call timeout is configured (SetCallTimeout), the future fails
   // with kNodeLost if no reply arrives within the deadline — a hung or
   // dead peer can no longer park a CallAsync waiter forever.
+  // `tail` goes on the wire right after `payload` (Message::tail); it is
+  // sent before CallAsync returns and never read after.
   ReplyFuture CallAsync(MsgType type, std::uint64_t session,
-                        std::vector<std::uint8_t> payload);
+                        std::vector<std::uint8_t> payload,
+                        std::span<const std::uint8_t> tail = {});
 
   // Arms a per-call deadline on every subsequent CallAsync/Call: a pending
   // RPC unanswered for `timeout` fails with kNodeLost (the liveness
@@ -44,11 +48,15 @@ class RpcClient {
   // legacy wait-forever behaviour for async callers).
   void SetCallTimeout(std::chrono::milliseconds timeout);
 
-  // Synchronous convenience: send and wait (with timeout).
+  static constexpr std::chrono::milliseconds kDefaultCallTimeout{30000};
+
+  // Synchronous convenience: send and wait (with timeout). `tail` as for
+  // CallAsync.
   Expected<Message> Call(MsgType type, std::uint64_t session,
                          std::vector<std::uint8_t> payload,
                          std::chrono::milliseconds timeout =
-                             std::chrono::milliseconds(30000));
+                             kDefaultCallTimeout,
+                         std::span<const std::uint8_t> tail = {});
 
   // One-way message (no reply expected), e.g. shutdown.
   Status Notify(MsgType type, std::uint64_t session,

@@ -26,7 +26,13 @@ class SimConnection : public Connection {
     }
     bytes_sent_.fetch_add(message.WireSize(), std::memory_order_relaxed);
     messages_sent_.fetch_add(1, std::memory_order_relaxed);
-    tx_->queue.Push(message);
+    // The peer gets its own copy, tail appended to the payload as a
+    // stream reader would see it; nothing borrowed outlives this call.
+    Message delivered = message;
+    delivered.payload.insert(delivered.payload.end(), message.tail.begin(),
+                             message.tail.end());
+    delivered.tail = {};
+    tx_->queue.Push(std::move(delivered));
     return Status::Ok();
   }
 

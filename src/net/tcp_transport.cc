@@ -73,19 +73,20 @@ class TcpConnection : public Connection {
 
   ~TcpConnection() override { Close(); }
 
-  // One gathered write of the header and the payload in place: the
-  // payload is never copied into a frame buffer.
+  // One gathered write of the header, the payload and the tail in place:
+  // none of them is copied into a frame buffer.
   Status Send(const Message& message) override {
     auto header = message.EncodeHeader();
-    iovec parts[2] = {
+    iovec parts[3] = {
         {header.data(), header.size()},
         {const_cast<std::uint8_t*>(message.payload.data()),
-         message.payload.size()}};
+         message.payload.size()},
+        {const_cast<std::uint8_t*>(message.tail.data()), message.tail.size()}};
     std::lock_guard<std::mutex> lock(write_mutex_);
     if (closed_.load(std::memory_order_acquire)) {
       return Status(ErrorCode::kNodeUnreachable, "connection closed");
     }
-    if (!WriteAll(fd_, parts, 2)) return Errno("send failed");
+    if (!WriteAll(fd_, parts, 3)) return Errno("send failed");
     bytes_sent_.fetch_add(message.WireSize(), std::memory_order_relaxed);
     messages_sent_.fetch_add(1, std::memory_order_relaxed);
     return Status::Ok();

@@ -28,7 +28,8 @@ class Connection {
  public:
   virtual ~Connection() = default;
 
-  // Queues a message for delivery. Fails once the peer is gone.
+  // Queues a message for delivery. Fails once the peer is gone. The
+  // message's tail is read before Send returns and never after.
   virtual Status Send(const Message& message) = 0;
 
   // Starts asynchronous receipt. Must be called exactly once. The handler

@@ -1,6 +1,7 @@
 #include "nmp/node_server.h"
 
 #include <optional>
+#include <span>
 
 #include "common/log.h"
 #include "driver/icd.h"
@@ -18,6 +19,21 @@ struct NodeServer::Channel {
   BlockingQueue<Message> inbox;
   std::thread worker;
 };
+
+namespace {
+
+// The one way a request is answered: the reply carries the request's seq
+// and session and goes out on the connection the request came in on. A
+// one-way request (seq 0) gets no reply.
+Status Respond(net::Connection& connection, std::uint64_t seq,
+               std::uint64_t session, Message& reply) {
+  if (seq == 0) return Status::Ok();
+  reply.seq = seq;
+  reply.session = session;
+  return connection.Send(reply);
+}
+
+}  // namespace
 
 Expected<std::unique_ptr<NodeServer>> NodeServer::Create(std::string name,
                                                          NodeType type) {
@@ -51,9 +67,7 @@ void NodeServer::Serve(net::ConnectionPtr connection) {
       const std::uint64_t seq = msg.seq;
       const std::uint64_t session = msg.session;
       Message reply = HandleControlMessage(std::move(msg));
-      reply.seq = seq;
-      reply.session = session;
-      if (seq != 0) (void)raw->connection->Send(reply);
+      (void)Respond(*raw->connection, seq, session, reply);
       return;
     }
     queue_depth_.fetch_add(1, std::memory_order_relaxed);
@@ -88,13 +102,7 @@ void NodeServer::WorkerLoop(Channel* channel) {
       broker_.UnregisterTenant(msg->session);
       break;
     }
-    const std::uint64_t seq = msg->seq;
-    const std::uint64_t session = msg->session;
-    Message reply = HandleMessage(*std::move(msg));
-    if (seq == 0) continue;  // One-way message: no reply wanted.
-    reply.seq = seq;
-    reply.session = session;
-    Status sent = channel->connection->Send(reply);
+    Status sent = HandleMessage(*channel, *std::move(msg));
     if (!sent.ok()) {
       HAOCL_WARN << "NMP " << name_ << ": reply failed: " << sent.ToString();
       break;
@@ -114,17 +122,18 @@ net::RpcClient* NodeServer::PeerClient(std::size_t peer_index) {
   return it == peers_.end() ? nullptr : it->second.get();
 }
 
-runtime::DeviceSession& NodeServer::SessionFor(std::uint64_t session_id) {
+std::shared_ptr<runtime::DeviceSession> NodeServer::SessionFor(
+    std::uint64_t session_id) {
   std::lock_guard<std::mutex> lock(sessions_mutex_);
   auto& slot = sessions_[session_id];
   if (slot == nullptr) {
     // Every session charges the node's ONE shared ledger through its own
     // broker view — capacity is enforced across all tenants, not per
     // session.
-    slot = std::make_unique<runtime::DeviceSession>(
+    slot = std::make_shared<runtime::DeviceSession>(
         driver_.get(), broker_.LedgerFor(session_id));
   }
-  return *slot;
+  return slot;
 }
 
 namespace {
@@ -165,7 +174,7 @@ Message NodeServer::HandleControlMessage(Message request) {
     case MsgType::kRevokeChunk:
       if (auto r = DecodeOrReply<net::RevokeChunkRequest>(name_, request,
                                                           reply)) {
-        SessionFor(request.session).RevokeChunks(r->launch_id, r->chunk_ids);
+        SessionFor(request.session)->RevokeChunks(r->launch_id, r->chunk_ids);
       }
       break;
     default:
@@ -177,9 +186,15 @@ Message NodeServer::HandleControlMessage(Message request) {
   return reply;
 }
 
-Message NodeServer::HandleMessage(Message request) {
+Status NodeServer::HandleMessage(Channel& channel, Message request) {
+  auto respond = [&channel, seq = request.seq,
+                  session_id = request.session](Message& reply) {
+    return Respond(*channel.connection, seq, session_id, reply);
+  };
   Message reply;
-  runtime::DeviceSession& session = SessionFor(request.session);
+  const std::shared_ptr<runtime::DeviceSession> held =
+      SessionFor(request.session);
+  runtime::DeviceSession& session = *held;
 
   switch (request.type) {
     case MsgType::kHelloRequest: {
@@ -214,9 +229,22 @@ Message NodeServer::HandleMessage(Message request) {
     case MsgType::kReadBuffer:
       if (auto r = DecodeOrReply<net::ReadBufferRequest>(name_, request,
                                                          reply)) {
-        auto data = session.ReadBuffer(r->buffer_id, r->offset, r->size);
-        reply = data.ok() ? Reply(MsgType::kReadReply, *std::move(data))
-                          : StatusMessage(data.status());
+        // The reply goes out of the replica itself: an empty payload and
+        // the range as its tail, sent under the session lock so no release
+        // or write can touch the bytes mid-send. That cannot deadlock: the
+        // send waits only on the peer's reader thread, which takes no
+        // session lock (and PullSlice fetches without holding its own).
+        std::optional<Status> sent;
+        Status read = session.VisitBuffer(
+            r->buffer_id, r->offset, r->size,
+            [&](std::span<const std::uint8_t> bytes) {
+              Message data = Reply(MsgType::kReadReply, {});
+              data.tail = bytes;
+              sent = respond(data);
+              return Status::Ok();
+            });
+        if (sent.has_value()) return *sent;
+        reply = StatusMessage(read);
       }
       break;
     case MsgType::kCopyBuffer:
@@ -280,12 +308,14 @@ Message NodeServer::HandleMessage(Message request) {
                         name_ + " has no link to peer node " +
                             std::to_string(peer));
         }
+        // The bytes read off the replica go out as the tail, not copied
+        // into an encoded body.
         net::WriteBufferRequest write;
         write.buffer_id = buffer_id;
         write.offset = offset;
-        write.data = std::move(data);
-        auto reply = client->Call(MsgType::kWriteBuffer, session_id,
-                                  write.Encode());
+        auto reply = client->Call(
+            MsgType::kWriteBuffer, session_id, write.EncodeHead(data.size()),
+            net::RpcClient::kDefaultCallTimeout, data);
         if (!reply.ok()) return reply.status();
         auto status = net::StatusReply::Decode(reply->payload);
         if (!status.ok()) return status.status();
@@ -416,9 +446,10 @@ Message NodeServer::HandleMessage(Message request) {
           std::lock_guard<std::mutex> lock(sessions_mutex_);
           sessions_.erase(request.session);
         }
-        // After the session (and its ledger view) is gone: its resident
-        // bytes leave the node ledger so the capacity frees up for the
-        // remaining tenants.
+        // After the session leaves the map: its resident bytes leave the
+        // node ledger so the capacity frees up for the remaining tenants.
+        // A handler still running on another connection keeps the session
+        // itself alive until it finishes.
         broker_.UnregisterTenant(request.session);
       }
       reply = StatusMessage(Status::Ok());
@@ -433,7 +464,7 @@ Message NodeServer::HandleMessage(Message request) {
       break;
     }
   }
-  return reply;
+  return respond(reply);
 }
 
 std::uint64_t NodeServer::kernels_executed() const {

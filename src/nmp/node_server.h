@@ -80,12 +80,19 @@ class NodeServer {
 
   void WorkerLoop(Channel* channel);
   // Both handlers take the request by value: decoding consumes its payload.
-  net::Message HandleMessage(net::Message request);
+  // HandleMessage executes a data-plane request and answers it on
+  // `channel` (Respond), returning the send's status: a failed send ends
+  // the worker.
+  Status HandleMessage(Channel& channel, net::Message request);
   // Control-plane messages (kRevokeChunk, kHeartbeat) answered on the
   // receive path, ahead of the per-connection inbox, so they overtake
   // queued launches and get through while the worker is busy.
   net::Message HandleControlMessage(net::Message request);
-  runtime::DeviceSession& SessionFor(std::uint64_t session_id);
+  // The session, created on first use. Shared: a handler on one
+  // connection keeps it alive (with its replicas, which a read reply is
+  // sent from) while another connection closes it.
+  std::shared_ptr<runtime::DeviceSession> SessionFor(
+      std::uint64_t session_id);
   // The RPC client for `peer_index`, or nullptr when no link exists.
   net::RpcClient* PeerClient(std::size_t peer_index);
 
@@ -97,7 +104,7 @@ class NodeServer {
   broker::NodeBroker broker_;
 
   std::mutex sessions_mutex_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<runtime::DeviceSession>>
+  std::unordered_map<std::uint64_t, std::shared_ptr<runtime::DeviceSession>>
       sessions_;
 
   std::mutex channels_mutex_;

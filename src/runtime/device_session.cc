@@ -67,19 +67,26 @@ Status DeviceSession::WriteBufferLocked(
 
 Expected<std::vector<std::uint8_t>> DeviceSession::ReadBuffer(
     std::uint64_t buffer_id, std::uint64_t offset, std::uint64_t size) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return ReadBufferLocked(buffer_id, offset, size);
+  std::vector<std::uint8_t> out;
+  HAOCL_RETURN_IF_ERROR(VisitBuffer(
+      buffer_id, offset, size, [&out](std::span<const std::uint8_t> bytes) {
+        out.assign(bytes.begin(), bytes.end());
+        return Status::Ok();
+      }));
+  return out;
 }
 
-Expected<std::vector<std::uint8_t>> DeviceSession::ReadBufferLocked(
-    std::uint64_t buffer_id, std::uint64_t offset, std::uint64_t size) {
+Status DeviceSession::VisitBuffer(std::uint64_t buffer_id,
+                                  std::uint64_t offset, std::uint64_t size,
+                                  const ReadVisitor& visit) {
+  std::lock_guard<std::mutex> lock(mutex_);
   auto it = buffers_.find(buffer_id);
   if (it == buffers_.end()) return NoSuchBuffer(buffer_id);
   if (RangeExceeds(offset, size, it->second.size())) {
     return Status(ErrorCode::kInvalidValue, "read beyond buffer end");
   }
-  return std::vector<std::uint8_t>(it->second.begin() + offset,
-                                   it->second.begin() + offset + size);
+  return visit(
+      std::span<const std::uint8_t>(it->second).subspan(offset, size));
 }
 
 Status DeviceSession::CopyBuffer(const net::CopyBufferRequest& request) {
@@ -389,17 +396,11 @@ Status DeviceSession::PullSlice(const net::PullSliceRequest& request,
 
 Status DeviceSession::PushSlice(const net::PushSliceRequest& request,
                                 const PeerStore& store) {
-  std::vector<std::uint8_t> bytes;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto local = ReadBufferLocked(request.buffer_id, request.offset,
-                                  request.size);
-    if (!local.ok()) return local.status();
-    bytes = *std::move(local);
-  }
+  auto bytes = ReadBuffer(request.buffer_id, request.offset, request.size);
+  if (!bytes.ok()) return bytes.status();
   // Lock dropped across the peer store (see PullSlice).
   return store(request.target_node, request.buffer_id, request.offset,
-               std::move(bytes));
+               *std::move(bytes));
 }
 
 net::LoadReply DeviceSession::Load() const {

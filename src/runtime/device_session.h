@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -55,6 +56,14 @@ class DeviceSession {
   Expected<std::vector<std::uint8_t>> ReadBuffer(std::uint64_t buffer_id,
                                                  std::uint64_t offset,
                                                  std::uint64_t size);
+  // Read without a copy: checks the range, then passes `visit` the
+  // replica's bytes in place and returns what it returns. The session
+  // lock is held while `visit` runs, so the bytes stay put and whole (no
+  // release or write can slip in); `visit` must not call back into this
+  // session.
+  using ReadVisitor = std::function<Status(std::span<const std::uint8_t>)>;
+  Status VisitBuffer(std::uint64_t buffer_id, std::uint64_t offset,
+                     std::uint64_t size, const ReadVisitor& visit);
   Status CopyBuffer(const net::CopyBufferRequest& request);
   Status ReleaseBuffer(std::uint64_t buffer_id);
 
@@ -159,9 +168,6 @@ class DeviceSession {
   // Require mutex_ held.
   Status WriteBufferLocked(std::uint64_t buffer_id, std::uint64_t offset,
                            const std::vector<std::uint8_t>& data);
-  Expected<std::vector<std::uint8_t>> ReadBufferLocked(std::uint64_t buffer_id,
-                                                       std::uint64_t offset,
-                                                       std::uint64_t size);
 
   driver::DeviceDriver* driver_;
   // Fallback private ledger when none is injected (see ctor).

@@ -24,6 +24,19 @@ TEST(MessageTest, HeaderRoundTrip) {
   EXPECT_EQ(msg.WireSize(), Message::kHeaderSize + msg.payload.size());
 }
 
+TEST(MessageTest, HeaderLengthCountsTheTail) {
+  const std::vector<std::uint8_t> body(1000, 0x7E);
+  Message msg;
+  msg.type = MsgType::kWriteBuffer;
+  msg.payload = {1, 2, 3};
+  msg.tail = body;
+  const auto header = msg.EncodeHeader();
+  auto parsed = Message::ParseHeader(header.data(), header.size());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->payload_size, 1003u);
+  EXPECT_EQ(msg.WireSize(), Message::kHeaderSize + 1003u);
+}
+
 TEST(MessageTest, EmptyPayload) {
   Message msg;
   msg.type = MsgType::kQueryLoad;
@@ -257,6 +270,21 @@ void ExpectDecodesToSample(const golden::Sample<T>& sample) {
 TEST(ProtocolGoldenTest, RecordedBytesDecodeToTheSample) {
   std::apply([](const auto&... s) { (ExpectDecodesToSample(s), ...); },
              golden::Samples());
+}
+
+// A body sent as the frame's tail: the head EncodeHead gives, followed by
+// the body, is the recorded encoding byte for byte. The head ignores the
+// message's own byte vector.
+TEST(ProtocolGoldenTest, WriteBufferHeadThenBodyEncodesToTheRecordedBytes) {
+  const auto samples = golden::Samples();
+  const auto& sample = std::get<golden::Sample<WriteBufferRequest>>(samples);
+  const std::vector<std::uint8_t>& body = sample.value.data;
+  WriteBufferRequest head_only = sample.value;
+  head_only.data.clear();
+  std::vector<std::uint8_t> frame = head_only.EncodeHead(body.size());
+  EXPECT_EQ(frame, sample.value.EncodeHead(body.size()));
+  frame.insert(frame.end(), body.begin(), body.end());
+  EXPECT_EQ(golden::ToHex(frame), sample.hex);
 }
 
 TEST(ProtocolTest, AnyNonzeroBoolByteDecodesAsTrue) {

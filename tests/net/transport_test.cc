@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <span>
 #include <thread>
 
 #include "common/sync.h"
@@ -91,6 +93,78 @@ TEST(SimListenerTest, ConnectDeliversServerEnd) {
   (*server)->Close();
   listener.Stop();
   EXPECT_FALSE(listener.Connect().ok());
+}
+
+// Body of frame `seq`: its bytes depend on the seq, so a frame delivered
+// under the wrong header fails the comparison.
+std::vector<std::uint8_t> Body(std::uint64_t seq, std::size_t size) {
+  std::vector<std::uint8_t> bytes(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<std::uint8_t>((i * 2654435761u >> 24) ^ seq);
+  }
+  return bytes;
+}
+
+// Two threads send frames whose bodies are split between payload and a
+// borrowed tail, the first with an empty payload and a 16 MiB + 3 B tail.
+// Each must arrive as payload followed by tail, byte for byte, in order
+// per thread, and bytes_sent() must count the tails.
+void ExpectTailedFramesArriveWhole(Connection& sender,
+                                   BlockingQueue<Message>& received) {
+  struct Split {
+    std::size_t payload;
+    std::size_t tail;
+  };
+  constexpr Split kSplits[] = {
+      {0, (16 << 20) + 3}, {24, 64 << 10}, {7, 1}, {3, 0}};
+  constexpr std::uint64_t kPerThread = std::size(kSplits);
+  std::uint64_t expected_bytes = sender.bytes_sent();
+  for (const Split& split : kSplits) {
+    expected_bytes += 2 * (Message::kHeaderSize + split.payload + split.tail);
+  }
+  auto size_of = [&](std::uint64_t seq) {
+    const Split& split = kSplits[seq % 1000];
+    return split.payload + split.tail;
+  };
+  std::vector<std::thread> senders;
+  for (std::uint64_t t = 0; t < 2; ++t) {
+    senders.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        const std::uint64_t seq = 1000 * t + i;
+        const std::vector<std::uint8_t> body = Body(seq, size_of(seq));
+        const std::size_t split = kSplits[i].payload;
+        Message msg = Make(MsgType::kWriteBuffer, seq,
+                           {body.begin(), body.begin() + split});
+        msg.tail = std::span<const std::uint8_t>(body).subspan(split);
+        EXPECT_TRUE(sender.Send(msg).ok()) << "seq " << seq;
+      }
+    });
+  }
+  std::uint64_t next[2] = {0, 0};
+  for (std::uint64_t n = 0; n < 2 * kPerThread; ++n) {
+    auto got = received.Pop();  // Never empty: the queue stays open.
+    const std::uint64_t thread = got->seq / 1000;
+    if (thread >= 2) {
+      ADD_FAILURE() << "unexpected seq " << got->seq;
+      continue;
+    }
+    EXPECT_EQ(got->seq % 1000, next[thread]++);
+    EXPECT_TRUE(got->tail.empty());
+    EXPECT_TRUE(got->payload == Body(got->seq, size_of(got->seq)))
+        << "seq " << got->seq;
+  }
+  for (std::thread& thread : senders) thread.join();
+  EXPECT_EQ(sender.bytes_sent(), expected_bytes);
+}
+
+TEST(SimTransportTest, TailArrivesAfterPayload) {
+  auto [a, b] = CreateSimChannel();
+  BlockingQueue<Message> at_b;
+  b->Start([&](Message m) { at_b.Push(std::move(m)); });
+  a->Start([](Message) {});
+  ExpectTailedFramesArriveWhole(*a, at_b);
+  a->Close();
+  b->Close();
 }
 
 class TcpTransportTest : public ::testing::Test {
@@ -192,14 +266,9 @@ TEST_F(TcpTransportTest, ConcurrentSendersFramesArriveWholeAndInOrder) {
 
   constexpr std::size_t kSizes[] = {0, 1, 64 << 10, (16 << 20) + 3};
   constexpr std::uint64_t kPerThread = 2 * std::size(kSizes);
-  // seq = 1000 * thread + index; the bytes depend on the seq, so a frame
-  // delivered under the wrong header fails the comparison.
+  // seq = 1000 * thread + index.
   auto payload = [&](std::uint64_t seq) {
-    std::vector<std::uint8_t> bytes(kSizes[seq % 1000 % std::size(kSizes)]);
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-      bytes[i] = static_cast<std::uint8_t>((i * 2654435761u >> 24) ^ seq);
-    }
-    return bytes;
+    return Body(seq, kSizes[seq % 1000 % std::size(kSizes)]);
   };
   std::uint64_t expected_bytes = 0;
   for (std::uint64_t i = 0; i < 2 * kPerThread; ++i) {
@@ -230,6 +299,18 @@ TEST_F(TcpTransportTest, ConcurrentSendersFramesArriveWholeAndInOrder) {
   for (std::thread& sender : senders) sender.join();
   EXPECT_EQ((*client)->bytes_sent(), expected_bytes);
   EXPECT_EQ((*client)->messages_sent(), 2 * kPerThread);
+  (*client)->Close();
+  (*server)->Close();
+}
+
+TEST_F(TcpTransportTest, TailArrivesAfterPayload) {
+  auto client = TcpConnect("127.0.0.1", listener_->port());
+  ASSERT_TRUE(client.ok());
+  auto server = accepted_.Pop();
+  BlockingQueue<Message> at_server;
+  (*server)->Start([&](Message m) { at_server.Push(std::move(m)); });
+  (*client)->Start([](Message) {});
+  ExpectTailedFramesArriveWhole(**client, at_server);
   (*client)->Close();
   (*server)->Close();
 }
@@ -361,6 +442,42 @@ TEST(RpcTest, LateReplyAfterDeadlineIsDropped) {
   EXPECT_EQ(late->Wait().code(), ErrorCode::kNodeLost);
   client.Close();
   node_end->Close();
+}
+
+// A call's tail goes out after its payload and comes back, echoed, as one
+// payload, exactly.
+TEST(RpcTest, CallWithTailRoundTripsExactly) {
+  TcpListener listener(0);
+  BlockingQueue<ConnectionPtr> accepted;
+  ASSERT_TRUE(
+      listener.Start([&](ConnectionPtr c) { accepted.Push(std::move(c)); })
+          .ok());
+  auto connection = TcpConnect("127.0.0.1", listener.port());
+  ASSERT_TRUE(connection.ok());
+  auto echo = accepted.Pop();
+  ASSERT_TRUE(echo.has_value());
+  Connection* echo_raw = echo->get();
+  echo_raw->Start([echo_raw](Message m) {
+    m.type = MsgType::kReadReply;
+    (void)echo_raw->Send(m);
+  });
+  RpcClient client(*std::move(connection));
+
+  const std::vector<std::uint8_t> head = {1, 2, 3, 4, 5};
+  const std::vector<std::uint8_t> tail = Body(7, 16 << 20);
+  auto reply = client.Call(MsgType::kWriteBuffer, 1, head,
+                           RpcClient::kDefaultCallTimeout, tail);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->payload.size(), head.size() + tail.size());
+  EXPECT_TRUE(std::equal(head.begin(), head.end(), reply->payload.begin()));
+  EXPECT_TRUE(std::equal(tail.begin(), tail.end(),
+                         reply->payload.begin() + head.size()));
+  EXPECT_EQ(client.bytes_sent(),
+            Message::kHeaderSize + head.size() + tail.size());
+
+  client.Close();
+  echo_raw->Close();
+  listener.Stop();
 }
 
 // A bulk read through a real daemon: the reply is moved out of the call,

@@ -1,20 +1,26 @@
 // Allocation budget of the bulk copy path.
 //
 // A buffer relayed host -> node 0 -> node 1 -> host over TCP loopback
-// daemons (with their peer mesh) should cost each hop one copy on each side
-// of the socket. Every fresh multi-MiB buffer is a fresh mapping whose page
+// daemons (with their peer mesh), plus a migrate push node 1 -> node 0,
+// should cost each hop one fresh buffer, on the receiving side of the
+// socket. Every fresh multi-MiB buffer is a fresh mapping whose page
 // faults dominate a bulk hop, so this test counts them: the executable
 // replaces the global operator new and counts allocations of 1 MiB or more
 // while each step of a steady-state round runs.
 //
-// Budget per 4 MiB hop, and who owns each allocation:
-//   h2d: the host builds the request body and encodes it (2); node 0's
-//        reader receives the payload in place and the consuming decode
-//        keeps that storage for the write (1).
-//   p2p: node 0 reads its replica into the reply (1); node 1's reader
+// Budget per 4 MiB hop, and who owns each allocation. Every sender writes
+// the bytes to the socket from where they live (the host shadow, a node
+// replica) as the frame's tail, so each remaining buffer is a receive
+// buffer:
+//   h2d: node 0's reader receives the payload in place and the consuming
+//        decode keeps that storage for the write (1).
+//   p2p: node 0 sends its reply out of the replica; node 1's reader
 //        receives it in place and the reply is moved to the store (1).
-//   d2h: node 1 reads its replica into the reply (1); the host's reader
+//   d2h: node 1 sends its reply out of the replica; the host's reader
 //        receives it in place and copies it into the shadow (1).
+//   push (a migrate back to node 0): node 1 reads the range off its
+//        replica under the session lock, then sends it without the lock
+//        (1); node 0's reader receives it in place (1).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -141,21 +147,34 @@ TEST(CopyBudgetTest, RelayHopsStayWithinTheirAllocationBudget) {
     ASSERT_TRUE(rt.WriteBuffer(*buffer, 0, pattern.data(), kBytes).ok());
     const std::uint64_t h2d = CountBigAllocations([&] { launch_on(0); });
     const std::uint64_t p2p = CountBigAllocations([&] { launch_on(1); });
+    // Node 1 holds the only fresh copy, so the migrate pushes it to node 0.
+    const std::uint64_t push = CountBigAllocations([&] {
+      auto migrate = rt.SubmitMigrate(*buffer, {}, /*target_node=*/0);
+      ASSERT_TRUE(migrate.ok()) << migrate.status().ToString();
+      EXPECT_TRUE(rt.Wait(*migrate).ok());
+      EXPECT_TRUE(rt.ReleaseCommand(*migrate).ok());
+    });
     const std::uint64_t d2h = CountBigAllocations([&] {
       EXPECT_TRUE(rt.ReadBuffer(*buffer, 0, out.data(), kBytes).ok());
     });
     EXPECT_EQ(out[0], pattern[0] + 2);
     EXPECT_EQ(std::memcmp(out.data() + 1, pattern.data() + 1, kBytes - 4), 0);
     if (round == 0) continue;
-    EXPECT_LE(h2d, 3u);
-    EXPECT_LE(p2p, 2u);
-    EXPECT_LE(d2h, 2u);
-    std::printf("round %d: >=1 MiB allocations h2d %llu, p2p %llu, d2h %llu\n",
-                round, static_cast<unsigned long long>(h2d),
-                static_cast<unsigned long long>(p2p),
-                static_cast<unsigned long long>(d2h));
+    EXPECT_LE(h2d, 1u);
+    EXPECT_LE(p2p, 1u);
+    EXPECT_LE(push, 2u);
+    EXPECT_LE(d2h, 1u);
+    std::printf(
+        "round %d: >=1 MiB allocations h2d %llu, p2p %llu, push %llu, "
+        "d2h %llu\n",
+        round, static_cast<unsigned long long>(h2d),
+        static_cast<unsigned long long>(p2p),
+        static_cast<unsigned long long>(push),
+        static_cast<unsigned long long>(d2h));
   }
-  // Every byte moved node to node, none relayed through the host.
+  // Every byte moved node to node (a pull and a push per round), none
+  // relayed through the host.
+  EXPECT_EQ(rt.transfer_stats().p2p_transfers, 2u * (kMeasuredRounds + 1));
   EXPECT_EQ(rt.transfer_stats().relay_bytes, 0u);
 
   rt.Disconnect();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 
 #include "driver/icd.h"
 
@@ -77,6 +78,54 @@ TEST_F(DeviceSessionTest, CopyBuffer) {
 
   copy.size = 100;
   EXPECT_FALSE(session_->CopyBuffer(copy).ok());
+}
+
+// The visitor sees the replica's own bytes, under the session lock; a bad
+// range or buffer never reaches it, and its status is the call's.
+TEST_F(DeviceSessionTest, VisitBufferLendsTheReplicaInPlace) {
+  ASSERT_TRUE(session_->CreateBuffer(1, 16).ok());
+  ASSERT_TRUE(session_->WriteBuffer(1, 4, {1, 2, 3, 4}).ok());
+  const std::uint8_t* first = nullptr;
+  std::vector<std::uint8_t> seen;
+  ASSERT_TRUE(session_
+                  ->VisitBuffer(1, 4, 4,
+                                [&](std::span<const std::uint8_t> bytes) {
+                                  first = bytes.data();
+                                  seen.assign(bytes.begin(), bytes.end());
+                                  return Status::Ok();
+                                })
+                  .ok());
+  EXPECT_EQ(seen, (std::vector<std::uint8_t>{1, 2, 3, 4}));
+  // The same bytes again: the span points into the replica, not a copy.
+  ASSERT_TRUE(session_
+                  ->VisitBuffer(1, 0, 16,
+                                [&](std::span<const std::uint8_t> bytes) {
+                                  EXPECT_EQ(bytes.data() + 4, first);
+                                  return Status::Ok();
+                                })
+                  .ok());
+
+  int visits = 0;
+  auto count = [&visits](std::span<const std::uint8_t>) {
+    ++visits;
+    return Status::Ok();
+  };
+  constexpr std::uint64_t kWrap = ~std::uint64_t{0} - 7;
+  EXPECT_EQ(session_->VisitBuffer(2, 0, 4, count).code(),
+            ErrorCode::kInvalidMemObject);
+  EXPECT_EQ(session_->VisitBuffer(1, 8, 9, count).code(),
+            ErrorCode::kInvalidValue);
+  EXPECT_EQ(session_->VisitBuffer(1, kWrap, 16, count).code(),
+            ErrorCode::kInvalidValue);
+  EXPECT_EQ(visits, 0);
+  EXPECT_EQ(session_
+                ->VisitBuffer(1, 0, 4,
+                              [](std::span<const std::uint8_t>) {
+                                return Status(ErrorCode::kNetworkError,
+                                              "send failed");
+                              })
+                .code(),
+            ErrorCode::kNetworkError);
 }
 
 // offset + size wraps for these offsets: a sum-based bounds check passes
